@@ -17,9 +17,7 @@ from .errors import (
     InconclusiveEnumerationError,
     LenEquivError,
     NonHyperbolicError,
-    PerturbationError,
     UnsupportedRankError,
-    VerificationError,
 )
 from .word_algebra import (
     CyclicWord,
@@ -57,20 +55,17 @@ from .fuchsian import (
     PingPongCertificate,
     Representation,
     certify_ping_pong,
-    perturb,
     sample_representation,
 )
 from .intersections import (
     IntersectionRecord,
     mutual_intersections,
     self_intersections,
-    stabilized_count,
-    stabilized_count_detail,
+    stabilized_intersections,
 )
 from .bracket import FormalSum, bracket, bracket_self, bracket_self_terms, equal_term_pairs
 from .pipeline import (
     CurvePair,
-    EquivalenceVerdict,
     build_pair_general,
     build_pair_self,
     check_equal_length,

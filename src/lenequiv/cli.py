@@ -16,8 +16,6 @@ from .errors import (
     HypothesisViolationError,
     InconclusiveEnumerationError,
     NonHyperbolicError,
-    PerturbationError,
-    VerificationError,
 )
 from .reports import emit, load_config, run
 
@@ -26,13 +24,7 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_VERIFICATION = 4
 
-_VERIFICATION_ERRORS = (
-    VerificationError,
-    CertificationError,
-    PerturbationError,
-    HypothesisViolationError,
-    NonHyperbolicError,
-)
+_VERIFICATION_ERRORS = (CertificationError, HypothesisViolationError, NonHyperbolicError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,6 +76,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InconclusiveEnumerationError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
+        if exc.counts:
+            first = exc.cap - len(exc.counts) + 1
+            print("counts at bounds %d..%d: %s" % (first, exc.cap, exc.counts), file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except _VERIFICATION_ERRORS as exc:
         print("verification failure: %s" % exc, file=sys.stderr)

@@ -29,10 +29,6 @@ class CertificationError(LenEquivError):
     """Ping-pong certification failed (or was required and absent)."""
 
 
-class PerturbationError(LenEquivError):
-    """Could not re-certify after perturbation, even with shrunken magnitude."""
-
-
 class InconclusiveEnumerationError(LenEquivError):
     """Counts did not stabilize before the hard word-length cap."""
 
@@ -48,7 +44,3 @@ class HypothesisViolationError(LenEquivError):
 
 class ConfigError(LenEquivError):
     """Run configuration failed validation."""
-
-
-class VerificationError(LenEquivError):
-    """A verification task completed with a failed verdict."""

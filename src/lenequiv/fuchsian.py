@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import CertificationError, NonHyperbolicError, PerturbationError
+from .errors import CertificationError, NonHyperbolicError
 from .sl2 import (
     INF,
     Mat2,
@@ -39,7 +39,6 @@ from .sl2 import (
 from .word_algebra import (
     SurfaceSpec,
     Word,
-    enumerate_reduced_words,
     letter_to_str,
     parse_word,
 )
@@ -157,8 +156,15 @@ class Representation:
                         if s == -last:
                             continue
                         self._ball_words.append(w + (s,))
-                        self._ball_mats.append(m.mul(self._signed_gen[s]).renormalize())
+                        self._ball_mats.append(m.mul(self._signed_gen[s]))
             self._ball_levels.append((lo, len(self._ball_words)))
+
+    def shell(self, length: int):
+        """All reduced words of exactly this length with their matrices, in
+        letter order."""
+        self._grow_ball(length)
+        start, stop = self._ball_levels[length]
+        return zip(self._ball_words[start:stop], self._ball_mats[start:stop])
 
     def ball(self, bound: int, include_identity: bool = False):
         """All reduced words of length <= bound with their matrices, in
@@ -336,25 +342,3 @@ def _freeness_spot_check(rep: Representation):
     for _, m in rep.ball(_FREENESS_WORD_LEN):
         if dist_to_plus_minus_identity(m) < _FREENESS_EPS:
             raise CertificationError("short word evaluates to +-identity; not free")
-
-
-def perturb(rep: Representation, seed: int, magnitude: float) -> Representation:
-    """Nearby certified representation; deterministic in (rep, seed, magnitude)."""
-    if rep.layout is None:
-        raise PerturbationError("can only perturb sampled representations")
-    tag, axes, ts = rep.layout
-    rng = random.Random(seed)
-    offsets = [rng.random() - 0.5 for _ in ts]
-    mag = magnitude
-    for _ in range(20):
-        new_ts = tuple(max(SPREAD_FLOOR, t * (1.0 + mag * u)) for t, u in zip(ts, offsets))
-        matrices = _build_matrices(axes, new_ts)
-        out = Representation(
-            rep.surface, matrices, seed=rep.seed, spread=rep.spread, layout=(tag, axes, new_ts)
-        )
-        try:
-            out.certificate = certify_ping_pong(out)
-            return out
-        except CertificationError:
-            mag /= 2.0
-    raise PerturbationError("could not certify any perturbation")

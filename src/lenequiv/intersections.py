@@ -6,12 +6,13 @@ views g and g^-1 describe the same point on the surface, so self keys are
 canonicalized over both.  A mutual intersection of alpha and beta is a
 double coset <alpha> h <beta> with A_alpha crossing h.A_beta.
 
-Each record carries the crossing coordinate along A_alpha folded into the
-fundamental period [0, tau_alpha), i.e. the in-window lift's position; the
-coset key alone decides identity, so the count never depends on which lift
-of a point the word ball reached first.  Completeness is heuristic-by-
-stabilization: counts are accepted when two successive word-length bounds
-agree.
+Both cases share one walk over the word ball, one shell of word length at
+a time; the coset key (a Word) decides identity and is the record's
+witness.  Each record carries the crossing coordinate along A_alpha folded
+into the fundamental period [0, tau_alpha), so the count never depends on
+which lift of a point the walk reached first.  Completeness is heuristic-
+by-stabilization: stabilization reads the count after each shell as the
+walk proceeds and accepts it when two successive bounds agree.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class IntersectionRecord:
     witness: Word
     point: HPoint
     sign: int
-    coset_key: str
     axis_position: float  # crossing coordinate folded into [0, tau_alpha)
 
 
@@ -83,15 +83,15 @@ def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
     return best
 
 
-def self_coset_key(g: Word, alpha: Word) -> str:
+def self_coset_key(g: Word, alpha: Word) -> Word:
     """Canonical key over <alpha> g <alpha> and <alpha> g^-1 <alpha>."""
     m1 = _double_coset_min(g, alpha, alpha)
     m2 = _double_coset_min(invert(g), alpha, alpha)
-    return str(min((m1, m2), key=lambda w: word_sort_key(w.letters)))
+    return min((m1, m2), key=lambda w: word_sort_key(w.letters))
 
 
-def mutual_coset_key(h: Word, alpha: Word, beta: Word) -> str:
-    return str(_double_coset_min(h, alpha, beta))
+def mutual_coset_key(h: Word, alpha: Word, beta: Word) -> Word:
+    return _double_coset_min(h, alpha, beta)
 
 
 def _require_cyclically_reduced(w: Word, name: str):
@@ -132,6 +132,49 @@ def _folded_position(ax: Axis, p: HPoint) -> float:
     return s
 
 
+def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
+    """Yield (bound, records with witnesses of length <= bound) for bound = 0..cap.
+
+    The ball is walked one shell at a time in (length, letter order), and
+    each double coset keeps the first lift that crosses, so the records
+    after shell k are exactly what an enumeration at bound k finds.  When
+    beta is alpha's class this is the self case: witnesses that are powers
+    of alpha are skipped and keys are canonicalized over g and g^-1.
+    """
+    _require_cyclically_reduced(alpha, "alpha")
+    _require_cyclically_reduced(beta, "beta")
+    _require_certified(rep)
+    self_case = cyclic_normal_form(beta) == cyclic_normal_form(alpha)
+    if self_case and is_proper_power(alpha)[0]:
+        raise DegenerateInputError("alpha must not be a proper power")
+    if not self_case and cyclic_normal_form(beta) == cyclic_normal_form(invert(alpha)):
+        raise DegenerateInputError("beta is conjugate to alpha^-1")
+    ax = axis(rep.evaluate(alpha))
+    ax_beta = ax if self_case else axis(rep.evaluate(beta))
+    found: dict[Word, IntersectionRecord] = {}
+    for bound in range(cap + 1):
+        for letters, m_g in rep.shell(bound):
+            g = Word(letters)
+            if self_case and _is_power_of(g, alpha):
+                continue
+            translate = Axis(
+                mobius(m_g, ax_beta.repelling), mobius(m_g, ax_beta.attracting), ax_beta.translation_length
+            )
+            if same_axis(ax, translate):
+                continue
+            try:
+                if not axes_cross(ax, translate):
+                    continue
+                p, sign = crossing_point_and_sign(ax, translate)
+            except DegeneracyError:
+                continue  # boundary-scale lift; the coset's healthy lifts still count it
+            s = _folded_position(ax, p)
+            key = self_coset_key(g, alpha) if self_case else mutual_coset_key(g, alpha, beta)
+            if key not in found:
+                found[key] = IntersectionRecord(witness=key, point=p, sign=sign, axis_position=s)
+        yield bound, sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
+
+
 def self_intersections(alpha: Word, rep, word_bound: int) -> list[IntersectionRecord]:
     """One record per self-intersection point of the closed geodesic of alpha.
 
@@ -140,118 +183,32 @@ def self_intersections(alpha: Word, rep, word_bound: int) -> list[IntersectionRe
     action g -> alpha^i g alpha^j and over the branch swap g -> g^-1, and
     reports each point at its fundamental-period coordinate.
     """
-    _require_cyclically_reduced(alpha, "alpha")
-    _require_certified(rep)
-    proper, _, _ = is_proper_power(alpha)
-    if proper:
-        raise DegenerateInputError("alpha must not be a proper power")
-    m_alpha = rep.evaluate(alpha)
-    ax = axis(m_alpha)
-    tau = ax.translation_length
-    found: dict[str, IntersectionRecord] = {}
-    for letters, m_g in rep.ball(word_bound):
-        g = Word(letters)
-        if _is_power_of(g, alpha):
-            continue
-        translate = Axis(mobius(m_g, ax.repelling), mobius(m_g, ax.attracting), tau)
-        if same_axis(ax, translate):
-            continue
-        try:
-            if not axes_cross(ax, translate):
-                continue
-            p, sign = crossing_point_and_sign(ax, translate)
-        except DegeneracyError:
-            continue  # boundary-scale lift; the coset's healthy lifts still count it
-        s = _folded_position(ax, p)
-        key = self_coset_key(g, alpha)
-        if key not in found:
-            found[key] = IntersectionRecord(
-                witness=_key_to_word(key), point=p, sign=sign, coset_key=key, axis_position=s
-            )
-    return sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
-
-
-def _key_to_word(key: str) -> Word:
-    from .word_algebra import parse_word
-
-    return parse_word(key)
+    *_, (_, records) = _crossing_walk(alpha, alpha, rep, word_bound)
+    return records
 
 
 def mutual_intersections(alpha: Word, beta: Word, rep, word_bound: int) -> list[IntersectionRecord]:
     """One record per intersection point of the geodesics of alpha and beta.
 
-    Routed to self_intersections when beta is alpha's class; rejects
+    Gives the self records when beta is alpha's class; rejects
     beta ~ alpha^-1 (the bracket construction excludes inverse classes).
     """
-    _require_cyclically_reduced(alpha, "alpha")
-    _require_cyclically_reduced(beta, "beta")
-    _require_certified(rep)
-    if cyclic_normal_form(beta) == cyclic_normal_form(alpha):
-        return self_intersections(alpha, rep, word_bound)
-    if cyclic_normal_form(beta) == cyclic_normal_form(invert(alpha)):
-        raise DegenerateInputError("beta is conjugate to alpha^-1")
-    m_alpha = rep.evaluate(alpha)
-    ax = axis(m_alpha)
-    ax_beta = axis(rep.evaluate(beta))
-    found: dict[str, IntersectionRecord] = {}
-    for letters, m_h in rep.ball(word_bound, include_identity=True):
-        h = Word(letters)
-        translate = Axis(
-            mobius(m_h, ax_beta.repelling), mobius(m_h, ax_beta.attracting), ax_beta.translation_length
-        )
-        if same_axis(ax, translate):
-            continue
-        try:
-            if not axes_cross(ax, translate):
-                continue
-            p, sign = crossing_point_and_sign(ax, translate)
-        except DegeneracyError:
-            continue  # boundary-scale lift; the coset's healthy lifts still count it
-        s = _folded_position(ax, p)
-        key = mutual_coset_key(h, alpha, beta)
-        if key not in found:
-            found[key] = IntersectionRecord(
-                witness=_key_to_word(key), point=p, sign=sign, coset_key=key, axis_position=s
-            )
-    return sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
+    *_, (_, records) = _crossing_walk(alpha, beta, rep, word_bound)
+    return records
 
 
-def stabilized_count_detail(
-    alpha: Word,
-    beta: Word,
-    rep,
-    start: int = STABILIZE_START,
-    cap: int = STABILIZE_CAP,
-) -> tuple[int, int]:
-    """(count, bound) where the count agrees at bound-1 and bound."""
+def stabilized_intersections(
+    alpha: Word, beta: Word, rep, start: int = STABILIZE_START, cap: int = STABILIZE_CAP
+) -> tuple[list[IntersectionRecord], int]:
+    """(records, bound) at the first bound >= start + 1 whose count agrees
+    with the count one bound lower, reading counts as the walk proceeds."""
     counts = []
-    prev = None
-    for bound in range(start, cap + 1):
-        cur = len(mutual_intersections(alpha, beta, rep, bound))
-        counts.append(cur)
-        if prev is not None and cur == prev:
-            return cur, bound
-        prev = cur
+    for bound, records in _crossing_walk(alpha, beta, rep, cap):
+        if bound < start:
+            continue
+        counts.append(len(records))
+        if len(counts) > 1 and counts[-1] == counts[-2]:
+            return records, bound
     raise InconclusiveEnumerationError(
         "intersection count did not stabilize by bound %d" % cap, cap=cap, counts=counts
-    )
-
-
-def stabilized_count(alpha: Word, beta: Word, rep, start: int = STABILIZE_START, cap: int = STABILIZE_CAP) -> int:
-    return stabilized_count_detail(alpha, beta, rep, start=start, cap=cap)[0]
-
-
-def stabilized_self_count_detail(
-    alpha: Word, rep, start: int = STABILIZE_START, cap: int = STABILIZE_CAP
-) -> tuple[int, int]:
-    counts = []
-    prev = None
-    for bound in range(start, cap + 1):
-        cur = len(self_intersections(alpha, rep, bound))
-        counts.append(cur)
-        if prev is not None and cur == prev:
-            return cur, bound
-        prev = cur
-    raise InconclusiveEnumerationError(
-        "self-intersection count did not stabilize by bound %d" % cap, cap=cap, counts=counts
     )

@@ -16,15 +16,11 @@ a "yes" is evidence at the stated bound, never a completeness claim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DegenerateInputError, HypothesisViolationError
-from .intersections import (
-    IntersectionRecord,
-    stabilized_count_detail,
-    stabilized_self_count_detail,
-)
+from .intersections import IntersectionRecord, stabilized_intersections
 from .trace_poly import verify_trace_identity
 from .word_algebra import (
     Word,
@@ -48,27 +44,6 @@ class CurvePair:
     right: Word
     n: int
     provenance: tuple  # ("self", alpha, g) | ("general", alpha, beta, g, h)
-
-
-@dataclass
-class EquivalenceVerdict:
-    equal_length_numeric: bool
-    max_deviation: float
-    equal_length_symbolic: bool
-    nonconjugate: bool
-    not_conjugate_to_inverse: bool
-    filling_left: str = "skipped"
-    filling_right: str = "skipped"
-    n_observed: Optional[int] = None
-
-    @property
-    def length_equivalent(self) -> bool:
-        return (
-            self.equal_length_numeric
-            and self.equal_length_symbolic
-            and self.nonconjugate
-            and self.not_conjugate_to_inverse
-        )
 
 
 def _witness_word(record_or_word) -> Word:
@@ -188,16 +163,12 @@ def _unoriented_class_key(w: Word) -> str:
     return min(k1.key, k2.key, key=lambda s: (len(s), s))
 
 
+@functools.lru_cache(maxsize=16)
 def simple_candidates(rep, bound: int):
     """Simple (zero self-intersection) primitive classes of word length
     <= bound, one representative per unoriented conjugacy class, sorted.
-    Cached per representation and bound."""
-    cache = getattr(rep, "_simple_cache", None)
-    if cache is None:
-        cache = {}
-        rep._simple_cache = cache
-    if bound in cache:
-        return cache[bound]
+    Cached for the 16 most recent (representation, bound) pairs; the cache
+    keeps those representations alive and hands every caller one tuple."""
     seen: dict[str, Word] = {}
     for letters in enumerate_reduced_words(rep.rank, bound):
         w = Word(letters)
@@ -214,11 +185,9 @@ def simple_candidates(rep, bound: int):
     out = []
     for key in sorted(seen, key=lambda s: (len(s), s)):
         z = seen[key]
-        count, _ = stabilized_self_count_detail(z, rep)
-        if count == 0:
+        if not stabilized_intersections(z, z, rep)[0]:
             out.append(z)
-    cache[bound] = out
-    return out
+    return tuple(out)
 
 
 def _is_peripheral(z: Word, peripherals) -> bool:
@@ -231,9 +200,9 @@ def is_filling(w: Word, rep, scc_word_bound: int):
 
     "no" comes with an explicit witness: an essential non-peripheral
     simple class disjoint from w.  "yes" means every essential
-    non-peripheral simple class found at scc_word_bound and at
-    scc_word_bound + 1 intersects w, and the candidate enumeration itself
-    was nonempty at both bounds — evidence at the bound, not a proof.
+    non-peripheral simple class of length <= scc_word_bound + 1 intersects
+    w, and some candidate has length <= scc_word_bound — evidence at the
+    bound, not a proof.
     Returns (verdict, witnesses, candidate_table).
     """
     w = Word(cyclic_normal_form(w).letters)
@@ -242,31 +211,23 @@ def is_filling(w: Word, rep, scc_word_bound: int):
     peripherals = rep.peripheral_words()
     if peripherals is None:
         raise DegenerateInputError("peripheral classes unknown for this representation")
+    w_key = _unoriented_class_key(w)
     witnesses = []
     table = []
-    seen_keys = set()
-    nonempty = True
-    for bound in (scc_word_bound, scc_word_bound + 1):
-        candidates = simple_candidates(rep, bound)
-        if not candidates:
-            nonempty = False
-        for z in candidates:
-            zk = _unoriented_class_key(z)
-            if zk in seen_keys:
-                continue
-            seen_keys.add(zk)
-            peripheral = _is_peripheral(z, peripherals)
-            if zk == _unoriented_class_key(w):
-                count = 0  # z is simple, so its class meets <w> = <z> nowhere transversally
-            else:
-                count, _ = stabilized_count_detail(z, w, rep)
-            table.append({"class": str(z), "peripheral": peripheral, "count": count})
-            if not peripheral and count == 0:
-                witnesses.append(z)
+    candidates = simple_candidates(rep, scc_word_bound + 1)
+    for z in candidates:
+        peripheral = _is_peripheral(z, peripherals)
+        if _unoriented_class_key(z) == w_key:
+            count = 0  # z is simple, so its class meets <w> = <z> nowhere transversally
+        else:
+            count = len(stabilized_intersections(z, w, rep)[0])
+        table.append({"class": str(z), "peripheral": peripheral, "count": count})
+        if not peripheral and count == 0:
+            witnesses.append(z)
     if witnesses:
         witnesses.sort(key=lambda z: word_sort_key(z.letters))
         return "no", witnesses, table
-    if not nonempty:
+    if not any(len(z.letters) <= scc_word_bound for z in candidates):
         return "inconclusive", [], table
     return "yes", [], table
 
@@ -293,28 +254,3 @@ def verify_filling_pairs(alpha: Word, record, n_range, rep, scc_word_bound: int 
         right_v, _, _ = is_filling(pair.right, rep, scc_word_bound)
         rows.append({"n": n, "filling_left": left_v, "filling_right": right_v})
     return {"context": context, "rows": rows}
-
-
-def assemble_verdict(
-    pair_builder,
-    reps,
-    n: int,
-    tol: float = 1e-9,
-    filling_bound: Optional[int] = None,
-) -> EquivalenceVerdict:
-    """Full verdict for the pair at one n over a family of representations."""
-    pair = pair_builder(n)
-    ok_num, max_dev = check_equal_length(pair, reps, tol)
-    ok_sym = check_equal_length_symbolic(pair, reps, tol)
-    nonconj, not_inv = check_nonconjugate(pair)
-    verdict = EquivalenceVerdict(
-        equal_length_numeric=ok_num,
-        max_deviation=max_dev,
-        equal_length_symbolic=ok_sym,
-        nonconjugate=nonconj,
-        not_conjugate_to_inverse=not_inv,
-    )
-    if filling_bound is not None and reps:
-        verdict.filling_left = is_filling(pair.left, reps[0], filling_bound)[0]
-        verdict.filling_right = is_filling(pair.right, reps[0], filling_bound)[0]
-    return verdict

@@ -19,7 +19,7 @@ from . import __version__
 from .bracket import FormalSum, bracket, bracket_self, bracket_self_terms
 from .errors import AlphabetError, ConfigError, DegenerateInputError
 from .fuchsian import SPREAD_FLOOR, sample_representation
-from .intersections import self_intersections, stabilized_self_count_detail
+from .intersections import stabilized_intersections
 from .pipeline import (
     build_pair_general,
     build_pair_self,
@@ -232,11 +232,10 @@ def _task_bracket_self(config: RunConfig) -> dict:
 
 
 def _first_self_record(alpha: Word, rep, word_bound: int):
-    count, bound = stabilized_self_count_detail(alpha, rep, cap=max(word_bound, 12))
-    records = self_intersections(alpha, rep, bound)
+    records, bound = stabilized_intersections(alpha, alpha, rep, cap=max(word_bound, 12))
     if not records:
         raise DegenerateInputError("word %r has no self-intersections" % str(alpha))
-    return records[0], count, bound
+    return records[0], len(records), bound
 
 
 def _task_pairs(config: RunConfig) -> dict:

@@ -93,10 +93,6 @@ def mobius(m: Mat2, x: float) -> float:
     return (m.a * x + m.b) / den
 
 
-def mobius_complex(m: Mat2, z: complex) -> complex:
-    return (m.a * z + m.b) / (m.c * z + m.d)
-
-
 def classify(m: Mat2) -> str:
     t = abs(m.trace())
     if abs(t - 2.0) <= CLASSIFY_TOL:

@@ -96,15 +96,6 @@ class TracePolynomial:
             out[expo] = out.get(expo, 0) + c
         return TracePolynomial(out)
 
-    def substitute_x_by_z(self) -> "TracePolynomial":
-        """Map a single-variable polynomial in x to the same polynomial in z."""
-        out: dict[tuple[int, int, int], int] = {}
-        for (i, j, k), c in self.terms.items():
-            if j or k:
-                raise ValueError("substitution only defined for polynomials in x")
-            out[(0, 0, i)] = out.get((0, 0, i), 0) + c
-        return TracePolynomial(out)
-
     def sorted_terms(self):
         # graded lex, highest first
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))

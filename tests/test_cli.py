@@ -1,13 +1,17 @@
 """Exit codes, flag overrides, and output routing for the `lenequiv` CLI."""
 
+import importlib
 import json
 import subprocess
+import sys
 
 import pytest
 
 from lenequiv import cli
 from lenequiv.errors import InconclusiveEnumerationError
+from lenequiv.intersections import stabilized_intersections
 from lenequiv.reports import RunConfig, emit, run
+from lenequiv.word_algebra import parse_word
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -98,6 +102,20 @@ def test_inconclusive_enumeration_exits_3(tmp_path, capsys, monkeypatch):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_inconclusive_message_carries_count_trajectory(tmp_path, capsys, monkeypatch, pants_rep):
+    alpha = parse_word("aabab")  # 2, 4, 5 self-intersection records at bounds 1, 2, 3
+
+    def stall(config):
+        return stabilized_intersections(alpha, alpha, pants_rep, start=1, cap=3)
+
+    monkeypatch.setattr(cli, "run", stall)
+    assert cli.main(["run", write_config(tmp_path, TRACE_CFG)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "did not stabilize by bound 3" in captured.err
+    assert "counts at bounds 1..3: [2, 4, 5]" in captured.err
+
+
 def test_hypothesis_violation_exits_4(tmp_path, capsys):
     cfg = {
         "surface": {"genus": 0, "boundary_components": 3},
@@ -127,11 +145,16 @@ def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
 def test_console_script_end_to_end(tmp_path):
     path = write_config(tmp_path, TRACE_CFG)
     proc = subprocess.run(
-        ["lenequiv", "run", path, "--format", "text"],
+        [sys.executable, "-m", "lenequiv", "run", path, "--format", "text"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "all hold: True" in proc.stdout
+
+
+def test_main_module_import_does_not_run_the_cli():
+    # package walkers import every submodule; only `python -m` may run main
+    importlib.import_module("lenequiv.__main__")
 
 
 def test_run_subcommand_required():

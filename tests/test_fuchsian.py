@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from lenequiv.errors import CertificationError, NonHyperbolicError, PerturbationError
+from lenequiv.errors import CertificationError, NonHyperbolicError
 from lenequiv.fuchsian import (
     SPREAD_FLOOR,
     Arc,
@@ -18,7 +18,6 @@ from lenequiv.fuchsian import (
     _layout_axes,
     _point_at_angle,
     certify_ping_pong,
-    perturb,
     sample_representation,
 )
 from lenequiv.sl2 import INF, Mat2, boundary_angle, classify, dist_to_plus_minus_identity, mobius
@@ -186,6 +185,23 @@ def test_ball_matrices_match_evaluate(torus_rep):
         assert m.entries() == pytest.approx(direct.entries(), rel=1e-12, abs=1e-12)
 
 
+def test_shells_partition_the_ball(pants_rep):
+    shells = [w for k in range(4) for w, _ in pants_rep.shell(k)]
+    assert shells == [w for w, _ in pants_rep.ball(3, include_identity=True)]
+    assert all(len(w) == 3 for w, _ in pants_rep.shell(3))
+
+
+def test_regression_long_ball_products_stay_finite():
+    # Renormalizing each product by its computed determinant raised
+    # "determinant must be positive" at length 9: ad - bc of large entries
+    # cancels to 0 or below.
+    rep = sample_representation(PANTS, 2)
+    for w, m in rep.ball(9):
+        direct = rep.evaluate(Word(w))
+        scale = max(abs(x) for x in direct.entries())
+        assert all(abs(x - y) <= 1e-9 * scale for x, y in zip(m.entries(), direct.entries())), w
+
+
 # ------------------------------------------------------- peripheral words etc
 
 
@@ -205,20 +221,3 @@ def test_summary_shape(torus_rep):
     assert s["surface"] == {"genus": 1, "boundary_components": 1, "punctures": 0}
     assert s["seed"] == 0 and s["spread"] == 3.0
     assert len(s["matrices"]) == 2 and all(len(m) == 4 for m in s["matrices"])
-
-
-# ------------------------------------------------------------------- perturb
-
-
-def test_perturb_certifies_and_moves(torus_rep):
-    near = perturb(torus_rep, seed=1, magnitude=0.05)
-    assert near.certificate is not None
-    assert [m.entries() for m in near.matrices] != [m.entries() for m in torus_rep.matrices]
-    again = perturb(torus_rep, seed=1, magnitude=0.05)
-    assert [m.entries() for m in again.matrices] == [m.entries() for m in near.matrices]
-
-
-def test_perturb_needs_layout(torus_rep):
-    bare = Representation(TORUS, torus_rep.matrices)
-    with pytest.raises(PerturbationError):
-        perturb(bare, seed=1, magnitude=0.05)

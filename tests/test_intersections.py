@@ -22,9 +22,7 @@ from lenequiv.intersections import (
     mutual_intersections,
     self_coset_key,
     self_intersections,
-    stabilized_count,
-    stabilized_count_detail,
-    stabilized_self_count_detail,
+    stabilized_intersections,
 )
 from lenequiv.sl2 import axis, translation_length
 from lenequiv.word_algebra import Word, compose, invert, parse_word, power, word_sort_key
@@ -44,6 +42,10 @@ SIMPLE_TORUS = {
 
 def w(text):
     return parse_word(text, rank=2)
+
+
+def stable_count(alpha, beta, rep):
+    return len(stabilized_intersections(alpha, beta, rep)[0])
 
 
 # ------------------------------------------------------------ figure eight
@@ -76,8 +78,8 @@ def test_pinned_self_counts(torus_rep, pants_rep):
         (torus_rep, "abaB", 1),
     ]
     for rep, word, want in cases:
-        count, bound = stabilized_self_count_detail(w(word), rep)
-        assert count == want, word
+        records, bound = stabilized_intersections(w(word), w(word), rep)
+        assert len(records) == want, word
         assert bound <= 8
 
 
@@ -89,7 +91,7 @@ def test_pinned_generator_crossing(torus_rep):
     assert len(recs) == 1
     (rec,) = recs
     assert rec.witness.is_identity
-    assert rec.coset_key == ""
+    assert rec.witness == Word(())
     assert rec.sign == -1
     assert rec.point.x == pytest.approx(0.0, abs=1e-12)
     assert rec.point.y == pytest.approx(1.0, rel=1e-12)
@@ -101,29 +103,29 @@ def test_pinned_generator_crossing(torus_rep):
 def test_intersection_numbers_match_homology_oracle(torus_rep):
     for (w1, (p1, q1)), (w2, (p2, q2)) in itertools.combinations(SIMPLE_TORUS.items(), 2):
         want = abs(p1 * q2 - q1 * p2)
-        assert stabilized_count(w(w1), w(w2), torus_rep) == want, (w1, w2)
+        assert stable_count(w(w1), w(w2), torus_rep) == want, (w1, w2)
 
 
 def test_regression_unbalanced_pair_not_overcounted(torus_rep):
     # b vs abbb once returned 2: a ball witness in the identity double coset
     # was canonicalized too lazily and split off a phantom point
-    assert stabilized_count(w("b"), w("abbb"), torus_rep) == 1
-    assert stabilized_count(w("a"), w("aaaab"), torus_rep) == 1
+    assert stable_count(w("b"), w("abbb"), torus_rep) == 1
+    assert stable_count(w("a"), w("aaaab"), torus_rep) == 1
 
 
 def test_pants_mutual_counts(pants_rep):
     cases = [("ab", "aab", 2), ("ab", "abb", 2), ("aab", "abb", 2), ("ab", "aabb", 4)]
     for w1, w2, want in cases:
-        assert stabilized_count(w(w1), w(w2), pants_rep) == want, (w1, w2)
+        assert stable_count(w(w1), w(w2), pants_rep) == want, (w1, w2)
     # disjoint from the cuffs
     for cuff in ("a", "b", "aB"):
-        assert stabilized_count(w("ab"), w(cuff), pants_rep) == 0, cuff
+        assert stable_count(w("ab"), w(cuff), pants_rep) == 0, cuff
 
 
 def test_power_multiplies_intersection_count(torus_rep, pants_rep):
     for n in (2, 3):
-        assert stabilized_count(power(w("a"), n), w("b"), torus_rep) == n
-        assert stabilized_count(power(w("ab"), n), w("aab"), pants_rep) == 2 * n
+        assert stable_count(power(w("a"), n), w("b"), torus_rep) == n
+        assert stable_count(power(w("ab"), n), w("aab"), pants_rep) == 2 * n
 
 
 # --------------------------------------------------------------- coset keys
@@ -131,8 +133,8 @@ def test_power_multiplies_intersection_count(torus_rep, pants_rep):
 
 def test_mutual_coset_key_regression():
     # A = b^3 (abbb)^-1, so <b> A <abbb> is the identity coset
-    assert mutual_coset_key(w("A"), w("b"), w("abbb")) == ""
-    assert mutual_coset_key(w("bbA"), w("b"), w("abbb")) == ""
+    assert mutual_coset_key(w("A"), w("b"), w("abbb")) == Word(())
+    assert mutual_coset_key(w("bbA"), w("b"), w("abbb")) == Word(())
 
 
 def test_coset_keys_invariant_under_subgroup_action():
@@ -152,7 +154,7 @@ def test_records_are_sorted_and_canonical(pants_rep):
     assert keys == sorted(keys)
     tau = translation_length(pants_rep.evaluate(w("aabab")))
     for r in recs:
-        assert str(r.witness) == r.coset_key
+        assert self_coset_key(r.witness, w("aabab")) == r.witness
         assert 0.0 <= r.axis_position < tau
         assert r.sign in (-1, 1)
         assert r.point.y > 0.0
@@ -199,13 +201,32 @@ def test_requires_certificate(torus_rep):
 
 
 def test_stabilized_detail_reports_bound(pants_rep):
-    count, bound = stabilized_count_detail(w("ab"), w("aab"), pants_rep)
-    assert count == 2
+    records, bound = stabilized_intersections(w("ab"), w("aab"), pants_rep)
+    assert len(records) == 2
     assert bound == 5  # counts agree at bounds 4 and 5 already
+
+
+def test_stabilized_records_match_enumeration_at_bound(torus_rep, pants_rep):
+    cases = [
+        (pants_rep, "ab", "aabb"),
+        (pants_rep, "aabab", "aabab"),
+        (torus_rep, "b", "abbb"),
+        (torus_rep, "aabb", "aabb"),
+    ]
+    for rep, left, right in cases:
+        records, bound = stabilized_intersections(w(left), w(right), rep)
+        assert records == mutual_intersections(w(left), w(right), rep, bound), (left, right)
 
 
 def test_stabilization_needs_two_agreeing_bounds(torus_rep):
     with pytest.raises(InconclusiveEnumerationError) as exc:
-        stabilized_count_detail(w("a"), w("b"), torus_rep, start=4, cap=4)
+        stabilized_intersections(w("a"), w("b"), torus_rep, start=4, cap=4)
     assert exc.value.cap == 4
     assert exc.value.counts == [1]
+
+
+def test_stabilization_cap_below_start_raises_at_once(torus_rep):
+    with pytest.raises(InconclusiveEnumerationError) as exc:
+        stabilized_intersections(w("a"), w("b"), torus_rep, start=4, cap=3)
+    assert exc.value.cap == 3
+    assert exc.value.counts == []

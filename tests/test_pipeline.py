@@ -14,7 +14,6 @@ from lenequiv.errors import DegenerateInputError, HypothesisViolationError
 from lenequiv.intersections import self_intersections
 from lenequiv.pipeline import (
     CurvePair,
-    assemble_verdict,
     build_pair_general,
     build_pair_self,
     check_equal_length,
@@ -209,29 +208,3 @@ def test_verify_filling_pairs(fig8_record, pants_rep):
 def test_verify_filling_pairs_requires_filling_base(torus_rep):
     with pytest.raises(DegenerateInputError):
         verify_filling_pairs(w("a"), w("b"), (2, 3), torus_rep, scc_word_bound=4)
-
-
-# ------------------------------------------------------------------ verdicts
-
-
-def test_assemble_verdict_passes_at_n2(fig8_record, pants_reps):
-    builder = lambda n: build_pair_self(w("ab"), fig8_record, n)  # noqa: E731
-    verdict = assemble_verdict(builder, pants_reps, 2)
-    assert verdict.equal_length_numeric and verdict.equal_length_symbolic
-    assert verdict.nonconjugate and verdict.not_conjugate_to_inverse
-    assert verdict.length_equivalent
-    assert verdict.max_deviation < 1e-12
-    assert verdict.filling_left == "skipped" and verdict.filling_right == "skipped"
-
-
-def test_assemble_verdict_with_filling(fig8_record, pants_reps):
-    builder = lambda n: build_pair_self(w("ab"), fig8_record, n)  # noqa: E731
-    verdict = assemble_verdict(builder, pants_reps, 2, filling_bound=4)
-    assert verdict.filling_left == "yes" and verdict.filling_right == "yes"
-
-
-def test_assemble_verdict_fails_at_n1(fig8_record, pants_reps):
-    builder = lambda n: build_pair_self(w("ab"), fig8_record, n)  # noqa: E731
-    verdict = assemble_verdict(builder, pants_reps, 1)
-    assert not verdict.nonconjugate
-    assert not verdict.length_equivalent

@@ -32,7 +32,6 @@ from lenequiv.sl2 import (
     evaluate,
     hyperbolic_cosine_rule,
     mobius,
-    mobius_complex,
     same_axis,
     tangent_at,
     translation_length,
@@ -300,6 +299,10 @@ def test_axis_coordinate_semicircle_anchor():
 def test_axis_coordinate_rejects_collapsed_point():
     with pytest.raises(DegeneracyError):
         axis_coordinate(Axis(0.0, INF, 1.0), HPoint(5.0, 0.0))
+
+
+def mobius_complex(m, z):
+    return (m.a * z + m.b) / (m.c * z + m.d)
 
 
 @settings(max_examples=40, deadline=None)

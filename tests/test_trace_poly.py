@@ -70,13 +70,6 @@ def test_specialize_equal_traces():
     assert str(p.specialize_equal_traces()) == "x*z - x"
 
 
-def test_substitute_x_by_z():
-    p = chebyshev_power(2)  # x^2 - 2
-    assert p.substitute_x_by_z() == Z * Z - TracePolynomial.constant(2)
-    with pytest.raises(ValueError):
-        (X * Y).substitute_x_by_z()
-
-
 # ----------------------------------------------------------------- chebyshev
 
 

@@ -78,4 +78,83 @@ from .pipeline import (
 )
 from .reports import Report, RunConfig, emit, load_config, run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "AlphabetError",
+    "CertificationError",
+    "ConfigError",
+    "DegeneracyError",
+    "DegenerateInputError",
+    "HypothesisViolationError",
+    "InconclusiveEnumerationError",
+    "LenEquivError",
+    "NonHyperbolicError",
+    "UnsupportedRankError",
+    # word_algebra
+    "CyclicWord",
+    "SurfaceSpec",
+    "Word",
+    "are_conjugate",
+    "compose",
+    "conjugate",
+    "cyclic_normal_form",
+    "cyclic_reduce",
+    "enumerate_reduced_words",
+    "free_reduce",
+    "invert",
+    "is_conjugate_to_inverse",
+    "is_proper_power",
+    "parse_word",
+    "power",
+    "word_str",
+    # sl2
+    "Axis",
+    "HPoint",
+    "Mat2",
+    "axes_cross",
+    "axis",
+    "classify",
+    "crossing_point_and_sign",
+    "evaluate",
+    "hyperbolic_cosine_rule",
+    "mobius",
+    "translation_length",
+    # trace_poly
+    "TracePolynomial",
+    "chebyshev_power",
+    "trace_polynomial",
+    "verify_trace_identity",
+    # fuchsian
+    "PingPongCertificate",
+    "Representation",
+    "certify_ping_pong",
+    "sample_representation",
+    # intersections
+    "IntersectionRecord",
+    "mutual_intersections",
+    "self_intersections",
+    "stabilized_intersections",
+    # bracket
+    "FormalSum",
+    "bracket",
+    "bracket_self",
+    "bracket_self_terms",
+    "equal_term_pairs",
+    # pipeline
+    "CurvePair",
+    "build_pair_general",
+    "build_pair_self",
+    "check_equal_length",
+    "check_equal_length_symbolic",
+    "check_nonconjugate",
+    "find_min_N",
+    "is_filling",
+    "simple_candidates",
+    "verify_filling_pairs",
+    # reports
+    "Report",
+    "RunConfig",
+    "emit",
+    "load_config",
+    "run",
+]

@@ -29,12 +29,11 @@ from .errors import (
 from .sl2 import Axis, HPoint, axes_cross, axis, axis_coordinate, crossing_point_and_sign, mobius, same_axis
 from .word_algebra import (
     Word,
-    compose,
     cyclic_normal_form,
     cyclic_reduce,
     invert,
     is_proper_power,
-    power,
+    junction_product,
     word_sort_key,
 )
 
@@ -59,32 +58,41 @@ def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
     straight descent path from g to the global minimum stays at most one
     combined step above len(g); every word on it fits under the cap below,
     and the breadth search visits the whole capped region.
+
+    All operands are freely reduced, so each of the eight moves is a
+    junction product on letter tuples; only the minimum becomes a Word.
+    The visited region and the minimum are those of the same search over
+    Words.  The crossing walk computes one self key per pair {g, g^-1},
+    because self_coset_key is symmetric under g -> g^-1.
     """
-    moves_left = (left, invert(left))
-    moves_right = (right, invert(right))
-    cap = len(g.letters) + len(left.letters) + len(right.letters)
-    seen = {g.letters}
-    queue = [g]
-    best = g
-    best_key = word_sort_key(g.letters)
+    moves_left = (left.letters, invert(left).letters)
+    moves_right = (right.letters, invert(right).letters)
+    start = g.letters
+    cap = len(start) + len(left.letters) + len(right.letters)
+    seen = {start}
+    queue = [start]
+    best = start
+    best_key = word_sort_key(start)
     while queue:
         x = queue.pop()
-        nearby = [compose(u, x) for u in moves_left]
-        nearby += [compose(x, w) for w in moves_right]
-        nearby += [compose(u, compose(x, w)) for u in moves_left for w in moves_right]
+        nearby = [junction_product(u, x) for u in moves_left]
+        nearby += [junction_product(x, w) for w in moves_right]
+        nearby += [junction_product(u, junction_product(x, w)) for u in moves_left for w in moves_right]
         for cand in nearby:
-            if len(cand.letters) > cap or cand.letters in seen:
+            if len(cand) > cap or cand in seen:
                 continue
-            seen.add(cand.letters)
+            seen.add(cand)
             queue.append(cand)
-            key = word_sort_key(cand.letters)
-            if key < best_key:
-                best, best_key = cand, key
-    return best
+            if len(cand) <= best_key[0]:
+                key = word_sort_key(cand)
+                if key < best_key:
+                    best, best_key = cand, key
+    return Word(best)
 
 
 def self_coset_key(g: Word, alpha: Word) -> Word:
-    """Canonical key over <alpha> g <alpha> and <alpha> g^-1 <alpha>."""
+    """Canonical key over <alpha> g <alpha> and <alpha> g^-1 <alpha>; the
+    same for g and g^-1."""
     m1 = _double_coset_min(g, alpha, alpha)
     m2 = _double_coset_min(invert(g), alpha, alpha)
     return min((m1, m2), key=lambda w: word_sort_key(w.letters))
@@ -113,7 +121,8 @@ def _is_power_of(g: Word, alpha: Word) -> bool:
     if lg % la:
         return False
     k = lg // la
-    return g.letters in (power(alpha, k).letters, power(alpha, -k).letters)
+    # alpha is cyclically reduced, so alpha^k is alpha's letters k times over
+    return g.letters in (alpha.letters * k, invert(alpha).letters * k)
 
 
 def _folded_position(ax: Axis, p: HPoint) -> float:
@@ -152,6 +161,7 @@ def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
     ax = axis(rep.evaluate(alpha))
     ax_beta = ax if self_case else axis(rep.evaluate(beta))
     found: dict[Word, IntersectionRecord] = {}
+    inverse_keys: dict[tuple[int, ...], Word] = {}  # self keys awaiting g^-1's turn
     for bound in range(cap + 1):
         for letters, m_g in rep.shell(bound):
             g = Word(letters)
@@ -169,7 +179,16 @@ def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
             except DegeneracyError:
                 continue  # boundary-scale lift; the coset's healthy lifts still count it
             s = _folded_position(ax, p)
-            key = self_coset_key(g, alpha) if self_case else mutual_coset_key(g, alpha, beta)
+            if not self_case:
+                key = mutual_coset_key(g, alpha, beta)
+            else:
+                # g^-1 lies in this shell and its translate crosses iff g's
+                # does; self keys are symmetric in g <-> g^-1, so one search
+                # serves both
+                key = inverse_keys.pop(letters, None)
+                if key is None:
+                    key = self_coset_key(g, alpha)
+                    inverse_keys[invert(g).letters] = key
             if key not in found:
                 found[key] = IntersectionRecord(witness=key, point=p, sign=sign, axis_position=s)
         yield bound, sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))

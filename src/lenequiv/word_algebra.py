@@ -111,6 +111,19 @@ def free_reduce(raw: Iterable[int], rank: Optional[int] = None) -> Word:
     return Word(tuple(stack))
 
 
+def junction_product(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of the product of two freely reduced letter tuples.
+
+    Each operand is already reduced, so cancellation happens only where
+    they meet: strip the tail of u that matches the inverse of v's head.
+    """
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[: len(u) - i] + v[i:]
+
+
 def parse_word(text: str, rank: Optional[int] = None) -> Word:
     """Parse "aB" style text into a freely reduced Word."""
     letters = []
@@ -129,7 +142,9 @@ def word_str(w: Word) -> str:
 
 
 def compose(u: Word, v: Word) -> Word:
-    return free_reduce(u.letters + v.letters)
+    """u * v.  Both operands must be freely reduced (the Word invariant);
+    only the junction between them is cancelled."""
+    return Word(junction_product(u.letters, v.letters))
 
 
 def invert(u: Word) -> Word:

@@ -4,6 +4,8 @@ Each config runs in a few seconds at most.  The hashes were taken from the
 reports before intersection enumeration and stabilization were merged into
 one shell-by-shell walk; any change to enumeration order, first-found lifts,
 stabilization bounds or filling scans shows up here as a changed digest.
+The K2 word aBABAb has many self records at bound 8; its digests were taken
+before the coset-key search moved from Words to letter tuples.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ CONFIGS = {
     "bracket-torus": config(TORUS, "bracket", {"alpha": "aab", "beta": "abb"}),
     "bracket-self-pants": config(PANTS, "bracket-self", {"alpha": "aabab"}),
     "bracket-self-torus": config(TORUS, "bracket-self", {"alpha": "aabb"}),
+    "bracket-self-pants-k2": config(PANTS, "bracket-self", {"alpha": "aBABAb"}, word_bound=8),
     "pairs-pants": config(PANTS, "pairs", {"alpha": "aabab"}, n_range=[1, 6]),
     "pairs-torus": config(TORUS, "pairs", {"alpha": "aabaB"}, n_range=[1, 6]),
     "filling-pants": config(PANTS, "filling", {"w": "aabb"}, scc_word_bound=2),
@@ -54,6 +57,11 @@ GOLDEN = {
     "bracket-self-torus": {
         "json": "86dfb25c29bc5f0a3339b2ad5fb66f662668abb5052b8f468967e18266df189e",
         "text": "b24018d543ff81d8e5f945bb15012d2a38b3123c6613fd3d89f9ddac1020f734",
+        "csv": "26febeb66c7ac8c653e04767b4394858b88a76042101719de570fb1fec05f3fa",
+    },
+    "bracket-self-pants-k2": {
+        "json": "f41f096f783b8bbb3b37050375ac1153556de44b7569812451150e49004fc97c",
+        "text": "03c695d2a7e4e60c16c3fa03f2023e50eff596dc78776dd9d5e1b666d3bd3b53",
         "csv": "26febeb66c7ac8c653e04767b4394858b88a76042101719de570fb1fec05f3fa",
     },
     "pairs-pants": {

@@ -25,7 +25,16 @@ from lenequiv.intersections import (
     stabilized_intersections,
 )
 from lenequiv.sl2 import axis, translation_length
-from lenequiv.word_algebra import Word, compose, invert, parse_word, power, word_sort_key
+from lenequiv.word_algebra import (
+    Word,
+    compose,
+    enumerate_reduced_words,
+    free_reduce,
+    invert,
+    parse_word,
+    power,
+    word_sort_key,
+)
 
 # Christoffel-type simple classes on the one-holed torus with homology (p, q)
 SIMPLE_TORUS = {
@@ -129,6 +138,59 @@ def test_power_multiplies_intersection_count(torus_rep, pants_rep):
 
 
 # --------------------------------------------------------------- coset keys
+
+
+def reference_double_coset_min(g, left, right):
+    """The key search over Words: every move is a full free reduction of the
+    concatenation, and each candidate is a Word.  Same moves, cap and order
+    as the library's search over letter tuples."""
+
+    def product(u, v):
+        return free_reduce(u.letters + v.letters)
+
+    moves_left = (left, invert(left))
+    moves_right = (right, invert(right))
+    cap = len(g) + len(left) + len(right)
+    seen = {g.letters}
+    queue = [g]
+    best = g
+    while queue:
+        x = queue.pop()
+        nearby = [product(u, x) for u in moves_left]
+        nearby += [product(x, v) for v in moves_right]
+        nearby += [product(u, product(x, v)) for u in moves_left for v in moves_right]
+        for cand in nearby:
+            if len(cand) > cap or cand.letters in seen:
+                continue
+            seen.add(cand.letters)
+            queue.append(cand)
+            if word_sort_key(cand.letters) < word_sort_key(best.letters):
+                best = cand
+    return best
+
+
+# alpha = beta, unequal lengths, and length-1 words
+ORACLE_PAIRS = [("ab", "ab"), ("aabb", "aabb"), ("ab", "aabaB"), ("aB", "abb"), ("a", "b"), ("b", "abbb")]
+
+
+@pytest.mark.parametrize("alpha_text, beta_text", ORACLE_PAIRS)
+def test_coset_keys_match_word_search_oracle(alpha_text, beta_text):
+    alpha, beta = w(alpha_text), w(beta_text)
+    for letters in enumerate_reduced_words(2, 5, min_len=0):
+        g = Word(letters)
+        assert mutual_coset_key(g, alpha, beta) == reference_double_coset_min(g, alpha, beta), str(g)
+        want = min(
+            reference_double_coset_min(g, alpha, alpha),
+            reference_double_coset_min(invert(g), alpha, alpha),
+            key=lambda k: word_sort_key(k.letters),
+        )
+        assert self_coset_key(g, alpha) == want, str(g)
+
+
+def test_mutual_coset_key_overlapping_axes():
+    # the alpha-axis and the g.beta-axis overlap here; a greedy descent over
+    # the eight moves stops at aB, the full search finds A
+    assert mutual_coset_key(w("BB"), w("ab"), w("aabaB")) == w("A")
 
 
 def test_mutual_coset_key_regression():

@@ -118,6 +118,16 @@ def test_conjugate_is_g_u_ginv():
     assert conjugate(u, g).letters == parse_word("aabA").letters
 
 
+@given(letters_st, st.integers(min_value=0, max_value=14), letters_st)
+def test_compose_matches_full_reduction(u_raw, overlap, tail_raw):
+    # v starts with the inverse of u's last `overlap` letters, so the
+    # junction cancels across several letters, up to all of u
+    u = free_reduce(u_raw)
+    head = invert(u).letters[:overlap]
+    v = free_reduce(head + tail_raw)
+    assert compose(u, v) == free_reduce(u.letters + v.letters)
+
+
 @given(letters_st, letters_st)
 def test_compose_with_inverse_cancels(u_raw, g_raw):
     u = free_reduce(u_raw)

@@ -34,6 +34,14 @@ class FormalSum:
             for cls, coeff in terms.items():
                 self.add(cls, coeff)
 
+    @classmethod
+    def fold(cls, terms) -> "FormalSum":
+        """Canonical sum of an iterable of (class, coefficient) pairs."""
+        out = cls()
+        for term, coeff in terms:
+            out.add(term, coeff)
+        return out
+
     def add(self, cls: CyclicWord, coeff: int):
         if not coeff:
             return
@@ -44,10 +52,7 @@ class FormalSum:
             self.terms.pop(cls, None)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.terms)
-        for cls, coeff in other.terms.items():
-            out.add(cls, coeff)
-        return out
+        return FormalSum.fold([*self.terms.items(), *other.terms.items()])
 
     def negate(self) -> "FormalSum":
         return FormalSum({cls: -coeff for cls, coeff in self.terms.items()})
@@ -82,11 +87,10 @@ def _check_distinct_classes(alpha: Word, beta: Word):
 def bracket(alpha: Word, beta: Word, rep, word_bound: int) -> FormalSum:
     """Sum of sign * <alpha * beta^h> over intersection records (h, p, sign)."""
     _check_distinct_classes(alpha, beta)
-    out = FormalSum()
-    for record in mutual_intersections(alpha, beta, rep, word_bound):
-        term = compose(alpha, conjugate(beta, record.witness))
-        out.add(cyclic_normal_form(term), record.sign)
-    return out
+    return FormalSum.fold(
+        (cyclic_normal_form(compose(alpha, conjugate(beta, record.witness))), record.sign)
+        for record in mutual_intersections(alpha, beta, rep, word_bound)
+    )
 
 
 def bracket_self_terms(alpha: Word, rep, word_bound: int):
@@ -105,10 +109,7 @@ def bracket_self_terms(alpha: Word, rep, word_bound: int):
 
 
 def bracket_self(alpha: Word, rep, word_bound: int) -> FormalSum:
-    out = FormalSum()
-    for cls, coeff in bracket_self_terms(alpha, rep, word_bound):
-        out.add(cls, coeff)
-    return out
+    return FormalSum.fold(bracket_self_terms(alpha, rep, word_bound))
 
 
 def equal_term_pairs(alpha: Word, beta: Word, rep, word_bound: int):

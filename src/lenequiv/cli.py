@@ -1,7 +1,7 @@
 """Command-line front door: `lenequiv run config.json [overrides]`.
 
-Exit codes: 0 completed, 2 config error, 3 inconclusive enumeration,
-4 verification failure (including a failed sampler certification).
+Exit codes: 0 completed, 2 config error or unsupported surface, 3 inconclusive
+enumeration, 4 verification failure (including a failed sampler certification).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import (
     HypothesisViolationError,
     InconclusiveEnumerationError,
     NonHyperbolicError,
+    UnsupportedRankError,
 )
 from .reports import emit, load_config, run
 
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
         report = run(config)
         data = emit(report, args.format)
         _write(data, config.output_path)
-    except (ConfigError, DegenerateInputError) as exc:
+    except (ConfigError, DegenerateInputError, UnsupportedRankError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except InconclusiveEnumerationError as exc:

@@ -22,7 +22,7 @@ class DegeneracyError(LenEquivError):
 
 
 class UnsupportedRankError(LenEquivError):
-    """Operation only implemented for two-generator words."""
+    """Operation not implemented for this word rank or surface genus."""
 
 
 class CertificationError(LenEquivError):

@@ -3,13 +3,14 @@
 The sampler assigns to each generator a conjugate of diag(t, 1/t) along a
 fixed axis layout.  Which layout depends on the surface:
 
-* genus >= 1: the first two generators get linked axes {0, inf} and
+* genus == 1: the first two generators get linked axes {0, inf} and
   {-1, +1}, so their closed geodesics cross on the quotient (the pair
   crossing used by the cosine-rule checks exists by construction).
 * genus == 0: generators get nested-free, pairwise unlinked axes
   (-1 -> -3) and (+1 -> +3), oriented "outward".  With that marking the
   product word "ab" is the figure-eight class (one self-intersection)
   and "aB" is the third boundary class.
+* genus >= 2: no layout (one linked pair is not enough); UnsupportedRankError.
 
 Discreteness + freeness come from a ping-pong certificate: one closed
 boundary interval per signed generator, pairwise disjoint, each generator
@@ -24,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import CertificationError, NonHyperbolicError
+from .errors import CertificationError, NonHyperbolicError, UnsupportedRankError
 from .sl2 import (
     INF,
     Mat2,
@@ -215,9 +216,11 @@ def _conjugated_diagonal(t: float, att: float, rep: float) -> Mat2:
 
 def _layout_axes(surface: SurfaceSpec):
     """Fixed per-generator (repelling, attracting) endpoints."""
+    if surface.genus >= 2:
+        raise UnsupportedRankError("axis layouts exist for genus 0 and 1 only, not genus %d" % surface.genus)
     rank = surface.rank
     axes = []
-    if surface.genus >= 1:
+    if surface.genus == 1:
         axes.append((0.0, INF))
         axes.append((-1.0, 1.0))
         pos = 3.0

@@ -26,7 +26,7 @@ from .errors import (
     DegeneracyError,
     InconclusiveEnumerationError,
 )
-from .sl2 import Axis, HPoint, axes_cross, axis, axis_coordinate, crossing_point_and_sign, mobius, same_axis
+from .sl2 import Axis, HPoint, axes_cross, axis, axis_coordinate, crossing_point_and_sign, mobius
 from .word_algebra import (
     Word,
     cyclic_normal_form,
@@ -50,8 +50,8 @@ class IntersectionRecord:
     axis_position: float  # crossing coordinate folded into [0, tau_alpha)
 
 
-def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
-    """Minimal word in { left^i g right^j } by (length, letter order).
+def _double_coset_min(g: Word, left: Word, right: Word) -> list[tuple[int, ...]]:
+    """Letters of the shortest words in { left^i g right^j }.
 
     Exhaustive search of the orbit's bounded sublevel set.  In the Cayley
     tree the length of left^i g right^j is jointly convex in (i, j), so a
@@ -60,10 +60,10 @@ def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
     and the breadth search visits the whole capped region.
 
     All operands are freely reduced, so each of the eight moves is a
-    junction product on letter tuples; only the minimum becomes a Word.
-    The visited region and the minimum are those of the same search over
-    Words.  The crossing walk computes one self key per pair {g, g^-1},
-    because self_coset_key is symmetric under g -> g^-1.
+    junction product on letter tuples.  Callers pick the key among the
+    returned words by (length, letter order); the self key also reads
+    their inverses, because with left = right inversion maps the region
+    searched from g onto the region searched from g^-1.
     """
     moves_left = (left.letters, invert(left).letters)
     moves_right = (right.letters, invert(right).letters)
@@ -71,8 +71,7 @@ def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
     cap = len(start) + len(left.letters) + len(right.letters)
     seen = {start}
     queue = [start]
-    best = start
-    best_key = word_sort_key(start)
+    shortest = [start]
     while queue:
         x = queue.pop()
         nearby = [junction_product(u, x) for u in moves_left]
@@ -83,23 +82,23 @@ def _double_coset_min(g: Word, left: Word, right: Word) -> Word:
                 continue
             seen.add(cand)
             queue.append(cand)
-            if len(cand) <= best_key[0]:
-                key = word_sort_key(cand)
-                if key < best_key:
-                    best, best_key = cand, key
-    return Word(best)
+            if len(cand) < len(shortest[0]):
+                shortest = [cand]
+            elif len(cand) == len(shortest[0]):
+                shortest.append(cand)
+    return shortest
 
 
 def self_coset_key(g: Word, alpha: Word) -> Word:
     """Canonical key over <alpha> g <alpha> and <alpha> g^-1 <alpha>; the
     same for g and g^-1."""
-    m1 = _double_coset_min(g, alpha, alpha)
-    m2 = _double_coset_min(invert(g), alpha, alpha)
-    return min((m1, m2), key=lambda w: word_sort_key(w.letters))
+    shortest = _double_coset_min(g, alpha, alpha)
+    shortest += [invert(Word(x)).letters for x in shortest]
+    return Word(min(shortest, key=word_sort_key))
 
 
 def mutual_coset_key(h: Word, alpha: Word, beta: Word) -> Word:
-    return _double_coset_min(h, alpha, beta)
+    return Word(min(_double_coset_min(h, alpha, beta), key=word_sort_key))
 
 
 def _require_cyclically_reduced(w: Word, name: str):
@@ -170,14 +169,12 @@ def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
             translate = Axis(
                 mobius(m_g, ax_beta.repelling), mobius(m_g, ax_beta.attracting), ax_beta.translation_length
             )
-            if same_axis(ax, translate):
-                continue
             try:
                 if not axes_cross(ax, translate):
                     continue
                 p, sign = crossing_point_and_sign(ax, translate)
             except DegeneracyError:
-                continue  # boundary-scale lift; the coset's healthy lifts still count it
+                continue  # on A_alpha's geodesic, or a boundary-scale lift of a counted coset
             s = _folded_position(ax, p)
             if not self_case:
                 key = mutual_coset_key(g, alpha, beta)

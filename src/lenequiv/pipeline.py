@@ -29,10 +29,10 @@ from .word_algebra import (
     conjugate,
     cyclic_normal_form,
     enumerate_reduced_words,
-    invert,
     is_conjugate_to_inverse,
     is_proper_power,
     power,
+    unoriented_class_key,
     word_sort_key,
 )
 from .sl2 import translation_length
@@ -157,12 +157,6 @@ def find_min_N(alpha: Word, record, n_max: int):
     return n_observed, table
 
 
-def _unoriented_class_key(w: Word) -> str:
-    k1 = cyclic_normal_form(w)
-    k2 = cyclic_normal_form(invert(w))
-    return min(k1.key, k2.key, key=lambda s: (len(s), s))
-
-
 @functools.lru_cache(maxsize=16)
 def simple_candidates(rep, bound: int):
     """Simple (zero self-intersection) primitive classes of word length
@@ -175,7 +169,7 @@ def simple_candidates(rep, bound: int):
         cnf = cyclic_normal_form(w)
         if len(cnf.letters) != len(letters):
             continue  # keep only cyclically reduced representatives
-        key = _unoriented_class_key(w)
+        key = unoriented_class_key(w)
         if key in seen:
             continue
         proper, _, _ = is_proper_power(w)
@@ -188,11 +182,6 @@ def simple_candidates(rep, bound: int):
         if not stabilized_intersections(z, z, rep)[0]:
             out.append(z)
     return tuple(out)
-
-
-def _is_peripheral(z: Word, peripherals) -> bool:
-    zk = _unoriented_class_key(z)
-    return any(zk == _unoriented_class_key(p) for p in peripherals)
 
 
 def is_filling(w: Word, rep, scc_word_bound: int):
@@ -211,13 +200,15 @@ def is_filling(w: Word, rep, scc_word_bound: int):
     peripherals = rep.peripheral_words()
     if peripherals is None:
         raise DegenerateInputError("peripheral classes unknown for this representation")
-    w_key = _unoriented_class_key(w)
+    w_key = unoriented_class_key(w)
+    peripheral_keys = {unoriented_class_key(p) for p in peripherals}
     witnesses = []
     table = []
     candidates = simple_candidates(rep, scc_word_bound + 1)
     for z in candidates:
-        peripheral = _is_peripheral(z, peripherals)
-        if _unoriented_class_key(z) == w_key:
+        z_key = unoriented_class_key(z)
+        peripheral = z_key in peripheral_keys
+        if z_key == w_key:
             count = 0  # z is simple, so its class meets <w> = <z> nowhere transversally
         else:
             count = len(stabilized_intersections(z, w, rep)[0])

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .bracket import FormalSum, bracket, bracket_self, bracket_self_terms
+from .bracket import FormalSum, bracket, bracket_self_terms
 from .errors import AlphabetError, ConfigError, DegenerateInputError
 from .fuchsian import SPREAD_FLOOR, sample_representation
 from .intersections import stabilized_intersections
@@ -83,8 +84,11 @@ class RunConfig:
         task = data.get("task")
         if task not in TASKS:
             raise ConfigError("unknown task %r (expected one of %s)" % (task, ", ".join(TASKS)))
+        words_data = data.get("words", {})
+        if not isinstance(words_data, dict):
+            raise ConfigError("words must be an object mapping names to words")
         words = {}
-        for name, text in dict(data.get("words", {})).items():
+        for name, text in words_data.items():
             try:
                 words[name] = parse_word(str(text), rank=surface.rank)
             except AlphabetError as exc:
@@ -94,23 +98,28 @@ class RunConfig:
             isinstance(s, int) and not isinstance(s, bool) for s in seeds
         ):
             raise ConfigError("seeds must be a nonempty list of integers")
-        spread = float(data.get("spread", 3.0))
-        if spread < SPREAD_FLOOR:
-            raise ConfigError("spread must be at least %s" % SPREAD_FLOOR)
-        word_bound = int(data.get("word_bound", 6))
+        n_range = data.get("n_range", (1, 8))
+        if not isinstance(n_range, (list, tuple)) or len(n_range) != 2:
+            raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
+        try:
+            spread = float(data.get("spread", 3.0))
+            word_bound = int(data.get("word_bound", 6))
+            n_range = (int(n_range[0]), int(n_range[1]))
+            tol = float(data.get("tol", 1e-9))
+            scc = data.get("scc_word_bound")
+            scc = None if scc is None else int(scc)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("config value does not parse: %s" % exc) from exc
+        if not (math.isfinite(spread) and spread >= SPREAD_FLOOR):
+            raise ConfigError("spread must be a finite number of at least %s" % SPREAD_FLOOR)
         if word_bound < 1:
             raise ConfigError("word_bound must be positive")
-        n_range = tuple(data.get("n_range", (1, 8)))
-        if len(n_range) != 2 or n_range[0] < 1 or n_range[1] < n_range[0]:
+        if not 1 <= n_range[0] <= n_range[1]:
             raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
-        tol = float(data.get("tol", 1e-9))
         if not (0.0 < tol <= 1e-3):
             raise ConfigError("tol must lie in (0, 1e-3]")
-        scc = data.get("scc_word_bound")
-        if scc is not None:
-            scc = int(scc)
-            if scc < 1:
-                raise ConfigError("scc_word_bound must be positive")
+        if scc is not None and scc < 1:
+            raise ConfigError("scc_word_bound must be positive")
         return cls(
             surface=surface,
             task=task,
@@ -118,7 +127,7 @@ class RunConfig:
             seeds=tuple(seeds),
             spread=spread,
             word_bound=word_bound,
-            n_range=(int(n_range[0]), int(n_range[1])),
+            n_range=n_range,
             tol=tol,
             output_path=data.get("output_path"),
             scc_word_bound=scc,
@@ -221,7 +230,7 @@ def _task_bracket_self(config: RunConfig) -> dict:
     entries = []
     for rep in _reps(config):
         terms = bracket_self_terms(alpha, rep, config.word_bound)
-        folded = bracket_self(alpha, rep, config.word_bound)
+        folded = FormalSum.fold(terms)
         entries.append({
             "seed": rep.seed,
             "pre_cancellation": [[cw.key, sign] for cw, sign in terms],

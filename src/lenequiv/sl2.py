@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegeneracyError, NonHyperbolicError
 
 INF = math.inf
 CLASSIFY_TOL = 1e-9
 _GAP_TOL = 1e-9  # angular separation below which crossing decisions abort
-_SAME_AXIS_TOL = 1e-10
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,15 @@ class Axis:
     attracting: float
     translation_length: float
 
+    @cached_property
+    def angles(self) -> tuple[float, float]:
+        """Boundary angles of (repelling, attracting), computed once per axis."""
+        return boundary_angle(self.repelling), boundary_angle(self.attracting)
+
 
 def boundary_angle(x: float) -> float:
     # 2*atan maps R u {inf} bijectively onto (-pi, pi]; atan(inf) = pi/2.
     return 2.0 * math.atan(x)
-
-
-def angular_gap(x: float, y: float) -> float:
-    d = abs(boundary_angle(x) - boundary_angle(y)) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
 
 
 def mobius(m: Mat2, x: float) -> float:
@@ -123,30 +124,28 @@ def axis(m: Mat2) -> Axis:
     return Axis((lam_rep - m.d) / m.c, (lam_att - m.d) / m.c, tau)
 
 
-def same_axis(a1: Axis, a2: Axis, tol: float = _SAME_AXIS_TOL) -> bool:
-    """Same geodesic as a set (orientation ignored)."""
-    fwd = angular_gap(a1.repelling, a2.repelling) < tol and angular_gap(a1.attracting, a2.attracting) < tol
-    bwd = angular_gap(a1.repelling, a2.attracting) < tol and angular_gap(a1.attracting, a2.repelling) < tol
-    return fwd or bwd
+def _angle_gap(s: float, t: float) -> float:
+    d = abs(s - t) % _TWO_PI
+    return min(d, _TWO_PI - d)
 
 
-def _in_arc(x: float, start: float, end: float) -> bool:
-    # walking counterclockwise from angle(start) to angle(end), do we pass x?
-    two_pi = 2.0 * math.pi
-    span = (boundary_angle(end) - boundary_angle(start)) % two_pi
-    off = (boundary_angle(x) - boundary_angle(start)) % two_pi
+def _in_arc(theta: float, start: float, end: float) -> bool:
+    # walking counterclockwise from angle start to angle end, do we pass theta?
+    span = (end - start) % _TWO_PI
+    off = (theta - start) % _TWO_PI
     return 0.0 < off < span
 
 
 def axes_cross(a1: Axis, a2: Axis) -> bool:
-    """True iff the endpoint pairs interleave on the boundary circle."""
-    for p in (a2.repelling, a2.attracting):
-        for q in (a1.repelling, a1.attracting):
-            if angular_gap(p, q) < _GAP_TOL:
+    """True iff the endpoint pairs interleave on the boundary circle; raises
+    DegeneracyError when endpoints nearly coincide, as on a shared geodesic."""
+    start, end = a1.angles
+    for p in a2.angles:
+        for q in (start, end):
+            if _angle_gap(p, q) < _GAP_TOL:
                 raise DegeneracyError("axis endpoints nearly coincide")
-    return _in_arc(a2.repelling, a1.repelling, a1.attracting) != _in_arc(
-        a2.attracting, a1.repelling, a1.attracting
-    )
+    rep2, att2 = a2.angles
+    return _in_arc(rep2, start, end) != _in_arc(att2, start, end)
 
 
 def _geometry(ax: Axis):

@@ -17,7 +17,7 @@ on inversion-extended cyclic normal forms.
 from __future__ import annotations
 
 from .errors import UnsupportedRankError
-from .word_algebra import Word, cyclic_normal_form, invert
+from .word_algebra import Word, cyclic_normal_form, unoriented_class_key
 
 _VAR_NAMES = ("x", "y", "z")
 
@@ -145,13 +145,6 @@ def chebyshev_power(n: int, variable_index: int = 0) -> TracePolynomial:
     return cur
 
 
-def _memo_key(letters: tuple[int, ...]) -> str:
-    w = Word(letters)
-    k1 = cyclic_normal_form(w).key
-    k2 = cyclic_normal_form(invert(w)).key
-    return min(k1, k2)
-
-
 def trace_polynomial(w: Word) -> TracePolynomial:
     """The Fricke polynomial of a word over the two-letter alphabet {a, b}."""
     for letter in w.letters:
@@ -166,7 +159,7 @@ def _tr(letters: tuple[int, ...]) -> TracePolynomial:
         return _TWO
     if n == 1:
         return _X if abs(letters[0]) == 1 else _Y
-    key = _memo_key(letters)
+    key = unoriented_class_key(Word(letters))
     hit = _memo.get(key)
     if hit is not None:
         return hit

@@ -212,6 +212,11 @@ def cyclic_normal_form(u: Word) -> CyclicWord:
     return CyclicWord(core[k:] + core[:k])
 
 
+def unoriented_class_key(w: Word) -> str:
+    """Least cyclic normal form key of w and w^-1 (of equal length)."""
+    return min(cyclic_normal_form(w).key, cyclic_normal_form(invert(w)).key)
+
+
 def are_conjugate(u: Word, v: Word) -> bool:
     return cyclic_normal_form(u) == cyclic_normal_form(v)
 

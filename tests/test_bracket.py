@@ -77,6 +77,12 @@ def test_formal_sum_algebra():
     assert s != t and s != "not a sum"
 
 
+def test_formal_sum_fold():
+    terms = [(cls("ab"), 1), (cls("aab"), -2), (cls("ba"), -1), (cls("aab"), 1)]
+    assert FormalSum.fold(terms) == FormalSum({cls("aab"): -1})
+    assert FormalSum.fold([]).is_zero()
+
+
 def test_formal_sum_rendering():
     s = FormalSum({cls("ab"): -1, cls("aab"): 3})
     assert str(s) == "-1*<ab> +3*<aab>"

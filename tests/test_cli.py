@@ -92,6 +92,18 @@ def test_degenerate_input_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unsupported_surface_exits_2(tmp_path, capfd):
+    cfg = {
+        "surface": {"genus": 2, "boundary_components": 1},
+        "task": "bracket-self",
+        "words": {"alpha": "ab"},
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "genus 2" in err
+
+
 def test_inconclusive_enumeration_exits_3(tmp_path, capsys, monkeypatch):
     def explode(config):
         raise InconclusiveEnumerationError("count never stabilized", cap=12)

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from lenequiv.errors import CertificationError, NonHyperbolicError
+from lenequiv.errors import CertificationError, NonHyperbolicError, UnsupportedRankError
 from lenequiv.fuchsian import (
     SPREAD_FLOOR,
     Arc,
@@ -114,6 +114,16 @@ def test_sampler_jittered_seeds_certify(pants_reps):
         assert rep.certificate is not None
         for m in rep.matrices:
             assert classify(m) == "hyperbolic"
+
+
+def test_sampler_rejects_genus_two_and_up():
+    # the layout links only generators 1-2, so genus 2 would get the
+    # representation of the genus-1, 3-holed surface of the same rank
+    for surface in (SurfaceSpec(2, 1), SurfaceSpec(3, 1)):
+        with pytest.raises(UnsupportedRankError):
+            sample_representation(surface, seed=0)
+    assert sample_representation(SurfaceSpec(1, 3), seed=0).layout[0] == "linked"
+    assert sample_representation(SurfaceSpec(0, 4), seed=0).layout[0] == "unlinked"
 
 
 def test_sampler_rejects_small_spread():

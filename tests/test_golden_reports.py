@@ -5,7 +5,10 @@ reports before intersection enumeration and stabilization were merged into
 one shell-by-shell walk; any change to enumeration order, first-found lifts,
 stabilization bounds or filling scans shows up here as a changed digest.
 The K2 word aBABAb has many self records at bound 8; its digests were taken
-before the coset-key search moved from Words to letter tuples.
+before the coset-key search moved from Words to letter tuples.  The filling
+run at scc_word_bound 4 and the verify run with a filling column were taken
+before the walk stopped testing for a shared geodesic separately and before
+the self key read one search and its inverses.
 """
 
 import hashlib
@@ -31,8 +34,10 @@ CONFIGS = {
     "pairs-pants": config(PANTS, "pairs", {"alpha": "aabab"}, n_range=[1, 6]),
     "pairs-torus": config(TORUS, "pairs", {"alpha": "aabaB"}, n_range=[1, 6]),
     "filling-pants": config(PANTS, "filling", {"w": "aabb"}, scc_word_bound=2),
+    "filling-pants-scc4": config(PANTS, "filling", {"w": "aabb"}, scc_word_bound=4),
     "filling-torus": config(TORUS, "filling", {"w": "aabaB"}, scc_word_bound=2),
     "verify-pants": config(PANTS, "verify", {"alpha": "ab"}, n_range=[1, 3]),
+    "verify-pants-scc3": config(PANTS, "verify", {"alpha": "ab"}, n_range=[1, 3], scc_word_bound=3),
     "verify-general-pants": config(
         PANTS, "verify", {"alpha": "ab", "beta": "aab", "g": "a", "h": "b"}, n_range=[2, 4]
     ),
@@ -79,6 +84,11 @@ GOLDEN = {
         "text": "4f4ff69f24568cd71d2d23bf34d6dfbfa1f9850166414bae646a5c494c5d9265",
         "csv": "3c35a38e759bf84ecc715f1b2ffaac2eecdd612162d1a6b42917740a69656ff0",
     },
+    "filling-pants-scc4": {
+        "json": "8ecb93c8d4bf99d0673c54d00110e0ebb10b4d2da1044027e3de564d18a07414",
+        "text": "832842d05984ebcfffc2481a75e6c7f2109d0b295d0279ddc8d4279368a350fb",
+        "csv": "3c35a38e759bf84ecc715f1b2ffaac2eecdd612162d1a6b42917740a69656ff0",
+    },
     "filling-torus": {
         "json": "3e0ace944b94467836be6c8b43452dab2ff6752d928801bbd0dc1e1aeaf32895",
         "text": "2e20b2fad71e6286f85fd7d0b868af0f09cdad38aa21fa442b526ff6e1241f0b",
@@ -88,6 +98,11 @@ GOLDEN = {
         "json": "1354b48ec3b74e02dcbaf94710ab56b0ac685ccf604c87aa839d4a9872340f5c",
         "text": "0b1e827e3ad6c70ee346b94d012a1b4c8c5c91699ff5cb06d755970daf23add6",
         "csv": "9f75f9c733cc525f29738b6c0453dacb5b309043143ffc42b0d78b3621395c4a",
+    },
+    "verify-pants-scc3": {
+        "json": "75aafafc574bd2742e0fb6f94f44b472987317a5da8ac7c0694a6735d4e6646a",
+        "text": "f9a60850ff1e87a05e01127041a630f4c77a11c1960d35d1bdae5f5fedc1ccbd",
+        "csv": "eef250cbeaa115c87aa735c85bc607d2cf2f4e074a05867319ccca7f148e171a",
     },
     "verify-general-pants": {
         "json": "d885470df18acd26ec2bdc97724c5fc65e7fafff0ffb762c3d2f460cc1ee126c",

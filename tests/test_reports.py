@@ -1,5 +1,6 @@
 """Config validation, task payloads, and deterministic emission."""
 
+import importlib
 import json
 import math
 
@@ -8,6 +9,9 @@ import pytest
 from lenequiv import __version__
 from lenequiv.errors import ConfigError
 from lenequiv.reports import Report, RunConfig, emit, load_config, round9, run
+
+# the package exports the function bracket under the submodule's name
+bracket_module = importlib.import_module("lenequiv.bracket")
 
 TORUS_SURFACE = {"genus": 1, "boundary_components": 1}
 PANTS_SURFACE = {"genus": 0, "boundary_components": 3}
@@ -60,6 +64,9 @@ def test_config_rejects_bad_shapes():
         RunConfig.from_dict({"task": "trace-id"})  # no surface
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"surface": {}, "task": "trace-id"})  # no genus
+    for shape in ({"n_range": 5}, {"n_range": [1, 2, 3]}, {"words": ["w"]}, {"words": "ab"}):
+        with pytest.raises(ConfigError):
+            make_config(**shape)
     with pytest.raises(ConfigError):
         make_config(task="no-such-task")
     with pytest.raises(ConfigError):
@@ -89,6 +96,14 @@ def test_config_rejects_bad_values():
         make_config(scc_word_bound=0)
     with pytest.raises(ConfigError):
         make_config(surface={"genus": 0, "boundary_components": 1})  # not hyperbolic
+    unreadable = (
+        {"word_bound": "x"}, {"tol": "x"}, {"scc_word_bound": "x"}, {"spread": "x"},
+        {"n_range": ["a", 3]}, {"n_range": [1, None]}, {"word_bound": float("inf")},
+        {"spread": "nan"}, {"spread": float("inf")},
+    )
+    for value in unreadable:
+        with pytest.raises(ConfigError):
+            make_config(**value)
 
 
 def test_config_echo_shape():
@@ -143,6 +158,23 @@ def test_bracket_self_payload():
     (entry,) = run(cfg).payload["per_seed"]
     assert entry["pre_cancellation"] == [["aabb", 1], ["aabb", -1]]
     assert entry["folded"] == [] and entry["is_zero"] is True
+
+
+def test_bracket_self_walks_once_per_seed(monkeypatch):
+    walks = []
+    walk = bracket_module.self_intersections
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(bracket_module, "self_intersections", counted)
+    cfg = RunConfig.from_dict(
+        {"surface": PANTS_SURFACE, "task": "bracket-self", "words": {"alpha": "aabab"}, "seeds": [0, 1]}
+    )
+    entries = run(cfg).payload["per_seed"]
+    assert len(walks) == 2
+    assert all(entry["is_zero"] and entry["pre_cancellation"] for entry in entries)
 
 
 def test_pairs_payload():

@@ -19,7 +19,6 @@ from lenequiv.sl2 import (
     Axis,
     HPoint,
     Mat2,
-    angular_gap,
     axes_cross,
     axis,
     axis_coordinate,
@@ -32,7 +31,6 @@ from lenequiv.sl2 import (
     evaluate,
     hyperbolic_cosine_rule,
     mobius,
-    same_axis,
     tangent_at,
     translation_length,
 )
@@ -42,6 +40,12 @@ A_DIAG = Mat2(2.0, 0.0, 0.0, 0.5)
 # conjugates of diag(2, 1/2) with axes (-1, 1) and (-1, 3), worked by hand
 B_UNIT = Mat2(1.25, 0.75, 0.75, 1.25)
 B_WIDE = Mat2(1.625, 1.125, 0.375, 0.875)
+
+
+def angular_gap(x, y):
+    """Distance of two boundary points on the circle of boundary angles."""
+    d = abs(boundary_angle(x) - boundary_angle(y)) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
 
 
 def oracle_attracting(m, x0=0.1234567, steps=200):
@@ -129,7 +133,7 @@ def test_axis_diagonal():
     # inverse matrix: same geodesic, reversed orientation
     bx = axis(A_DIAG.inv())
     assert bx.repelling == INF and bx.attracting == 0.0
-    assert same_axis(ax, bx)
+    assert bx.angles == ax.angles[::-1]
 
 
 def test_axis_upper_triangular():
@@ -165,10 +169,12 @@ def test_axis_matches_iteration_oracle(t, g):
     assert translation_length(m) == pytest.approx(2.0 * math.log(t), rel=1e-9)
 
 
-def test_same_axis_ignores_translation_length():
-    assert same_axis(Axis(0.0, INF, 1.0), Axis(0.0, INF, 3.0))
-    assert same_axis(Axis(-1.0, 1.0, 1.0), Axis(1.0, -1.0, 2.0))
-    assert not same_axis(Axis(0.0, INF, 1.0), Axis(-1.0, 1.0, 1.0))
+def test_axis_angles_are_cached_and_not_a_field():
+    ax = Axis(-1.0, INF, 1.0)
+    assert ax.angles == (boundary_angle(-1.0), boundary_angle(INF))
+    assert ax.angles is ax.angles  # computed once
+    assert ax == Axis(-1.0, INF, 1.0)  # equality and hash ignore the cache
+    assert hash(ax) == hash(Axis(-1.0, INF, 1.0))
 
 
 def test_power_keeps_oriented_axis():
@@ -217,6 +223,16 @@ def test_axes_cross_rejects_near_shared_endpoint():
         axes_cross(Axis(0.0, INF, 1.0), Axis(0.0, 1.0, 1.0))
     with pytest.raises(DegeneracyError):
         axes_cross(Axis(0.0, INF, 1.0), Axis(1e-12, 1.0, 1.0))
+    # one geodesic, either orientation, any translation length: the
+    # crossing walk relies on these raising to skip lifts on A_alpha itself
+    for a1, a2 in (
+        (Axis(0.0, INF, 1.0), Axis(0.0, INF, 3.0)),
+        (Axis(0.0, INF, 1.0), Axis(INF, 0.0, 1.0)),
+        (Axis(-1.0, 1.0, 1.0), Axis(1.0, -1.0, 2.0)),
+        (Axis(-1.0, 1.0, 1.0), Axis(-1.0 + 1e-11, 1.0 - 1e-11, 1.0)),
+    ):
+        with pytest.raises(DegeneracyError):
+            axes_cross(a1, a2)
 
 
 def test_crossing_point_vertical_circle():

@@ -17,6 +17,7 @@ from lenequiv.word_algebra import (
     is_proper_power,
     parse_word,
     power,
+    unoriented_class_key,
     word_sort_key,
     word_str,
 )
@@ -162,6 +163,16 @@ def test_conjugation_preserves_class(u_raw, g_raw):
     u = free_reduce(u_raw)
     g = free_reduce(g_raw)
     assert are_conjugate(u, conjugate(u, g))
+
+
+@given(letters_st, letters_st)
+def test_unoriented_class_key(u_raw, v_raw):
+    u, v = free_reduce(u_raw), free_reduce(v_raw)
+    keys = [str(Word(oracle_cyclic_key(x.letters))) for x in (u, invert(u))]
+    assert unoriented_class_key(u) == min(keys, key=lambda s: (len(s), s))
+    assert unoriented_class_key(invert(u)) == unoriented_class_key(u)
+    same = are_conjugate(u, v) or is_conjugate_to_inverse(u, v)
+    assert (unoriented_class_key(u) == unoriented_class_key(v)) == same
 
 
 def test_conjugate_to_inverse():

@@ -1,7 +1,8 @@
 """Command-line front door: `lenequiv run config.json [overrides]`.
 
-Exit codes: 0 completed, 2 config error or unsupported surface, 3 inconclusive
-enumeration, 4 verification failure (including a failed sampler certification).
+Exit codes: 0 completed, 2 config error (including an unwritable output path)
+or unsupported surface, 3 inconclusive enumeration, 4 verification failure
+(including a failed sampler certification).
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write(data: bytes, path):
     if path:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ConfigError("cannot write report to %s: %s" % (path, exc)) from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

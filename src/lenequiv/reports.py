@@ -120,6 +120,9 @@ class RunConfig:
             raise ConfigError("tol must lie in (0, 1e-3]")
         if scc is not None and scc < 1:
             raise ConfigError("scc_word_bound must be positive")
+        output_path = data.get("output_path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ConfigError("output_path must be a string path")
         return cls(
             surface=surface,
             task=task,
@@ -129,7 +132,7 @@ class RunConfig:
             word_bound=word_bound,
             n_range=n_range,
             tol=tol,
-            output_path=data.get("output_path"),
+            output_path=output_path,
             scc_word_bound=scc,
         )
 

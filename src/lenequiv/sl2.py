@@ -8,8 +8,7 @@ m and -m represent the same isometry, all trace tests use |tr|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import DegeneracyError, NonHyperbolicError
 
@@ -73,11 +72,12 @@ class Axis:
     repelling: float
     attracting: float
     translation_length: float
+    # boundary angles of (repelling, attracting), computed once per axis
+    angles: tuple[float, float] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def angles(self) -> tuple[float, float]:
-        """Boundary angles of (repelling, attracting), computed once per axis."""
-        return boundary_angle(self.repelling), boundary_angle(self.attracting)
+    def __post_init__(self):
+        angles = (boundary_angle(self.repelling), boundary_angle(self.attracting))
+        object.__setattr__(self, "angles", angles)
 
 
 def boundary_angle(x: float) -> float:

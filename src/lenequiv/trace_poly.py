@@ -10,14 +10,17 @@ classical rewriting rules:
     tr(w)      = tr of any cyclic rotation, and tr(w) = tr(w^-1)
 
 Each step strictly decreases (letter count, inverse-letter count) in
-lexicographic order, so the reduction terminates; results are memoized
-on inversion-extended cyclic normal forms.
+lexicographic order, so the reduction terminates.  Results are memoized
+once per unoriented conjugacy class (w and w^-1 have the same polynomial),
+keyed on the text of the cyclic normal form of whichever of the two was
+computed first.  Every lookup receives a word already in cyclic normal form,
+so a hit costs one text key; only a miss normalizes the inverse.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedRankError
-from .word_algebra import Word, cyclic_normal_form, unoriented_class_key
+from .word_algebra import Word, cyclic_normal_form, invert, letters_to_str
 
 _VAR_NAMES = ("x", "y", "z")
 
@@ -28,16 +31,13 @@ class TracePolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int, int], int] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if coeff:
-                    self.terms[expo] = self.terms.get(expo, 0) + coeff
-            self._prune()
-
-    def _prune(self):
-        for expo in [e for e, c in self.terms.items() if c == 0]:
-            del self.terms[expo]
+        # A mapping has one coefficient per exponent: only zeros are dropped.
+        # c + 0 stores a fresh int sized to its value: a coefficient left by
+        # a cancelling sum keeps the allocation of its largest operand, and
+        # memoized polynomials live as long as the process.
+        self.terms: dict[tuple[int, int, int], int] = (
+            {e: c + 0 for e, c in terms.items() if c} if terms else {}
+        )
 
     @classmethod
     def constant(cls, c: int) -> "TracePolynomial":
@@ -154,13 +154,19 @@ def trace_polynomial(w: Word) -> TracePolynomial:
 
 
 def _tr(letters: tuple[int, ...]) -> TracePolynomial:
+    """Fricke polynomial of a word whose letters are in cyclic normal form."""
     n = len(letters)
     if n == 0:
         return _TWO
     if n == 1:
         return _X if abs(letters[0]) == 1 else _Y
-    key = unoriented_class_key(Word(letters))
+    key = letters_to_str(letters)
     hit = _memo.get(key)
+    if hit is not None:
+        return hit
+    # one entry per unoriented class, under whichever of w, w^-1 came first
+    inverse_key = cyclic_normal_form(invert(Word(letters))).key
+    hit = _memo.get(inverse_key)
     if hit is not None:
         return hit
 
@@ -180,7 +186,8 @@ def _tr(letters: tuple[int, ...]) -> TracePolynomial:
         else:
             # positive, no doubled letter (cyclically): alternating (ab)^m
             out = chebyshev_power(n // 2, 2)
-    _memo[key] = out
+    if inverse_key not in _memo:  # the recursion can reach w^-1 (w = AB: ab)
+        _memo[key] = out
     return out
 
 

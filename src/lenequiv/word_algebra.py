@@ -48,12 +48,25 @@ def _letter_rank(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
+# signed letter -> its text: +1 -> "a", -1 -> "A", ..., -26 -> "Z"
+_LETTER_TEXT = {
+    sign * i: chr((ord("a") if sign > 0 else ord("A")) + i - 1)
+    for i in range(1, 27)
+    for sign in (1, -1)
+}
+
+
+def letters_to_str(letters: Iterable[int]) -> str:
+    """Text form of a letter sequence ("aB" for (1, -2)), one table lookup
+    per letter."""
+    try:
+        return "".join(map(_LETTER_TEXT.__getitem__, letters))
+    except KeyError as exc:
+        raise AlphabetError("letter %d has no text form (a-z only)" % exc.args[0]) from None
+
+
 def letter_to_str(letter: int) -> str:
-    idx = abs(letter) - 1
-    if idx >= 26:
-        raise AlphabetError("letter index %d too large for text form" % abs(letter))
-    ch = chr(ord("a") + idx)
-    return ch if letter > 0 else ch.upper()
+    return letters_to_str((letter,))
 
 
 @dataclass(frozen=True)
@@ -63,7 +76,7 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        return "".join(letter_to_str(x) for x in self.letters)
+        return letters_to_str(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -84,7 +97,7 @@ class CyclicWord:
 
     @property
     def key(self) -> str:
-        return "".join(letter_to_str(x) for x in self.letters)
+        return letters_to_str(self.letters)
 
     def __str__(self) -> str:
         return self.key

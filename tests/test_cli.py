@@ -2,11 +2,13 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import lenequiv
 from lenequiv import cli
 from lenequiv.errors import InconclusiveEnumerationError
 from lenequiv.intersections import stabilized_intersections
@@ -80,6 +82,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, dict(TRACE_CFG, seeds=[]))
     assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_output_path_not_a_string_exits_2(tmp_path, capfd):
+    path = write_config(tmp_path, dict(TRACE_CFG, output_path=["report.json"]))
+    assert cli.main(["run", path]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "config error: output_path must be a string" in err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capfd):
+    target = str(tmp_path / "missing-dir" / "report.json")
+    path = write_config(tmp_path, dict(TRACE_CFG, output_path=target))
+    assert cli.main(["run", path]) == 2
+    assert "config error: cannot write report to %s" % target in capfd.readouterr().err
+    path = write_config(tmp_path, TRACE_CFG)
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 2  # a directory
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "config error: cannot write report" in err
 
 
 def test_degenerate_input_exits_2(tmp_path, capsys):
@@ -156,9 +178,13 @@ def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
 
 def test_console_script_end_to_end(tmp_path):
     path = write_config(tmp_path, TRACE_CFG)
+    # the child imports the same lenequiv as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lenequiv.__file__)))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "lenequiv", "run", path, "--format", "text"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "all hold: True" in proc.stdout

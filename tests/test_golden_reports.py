@@ -8,7 +8,9 @@ The K2 word aBABAb has many self records at bound 8; its digests were taken
 before the coset-key search moved from Words to letter tuples.  The filling
 run at scc_word_bound 4 and the verify run with a filling column were taken
 before the walk stopped testing for a shared geodesic separately and before
-the self key read one search and its inverses.
+the self key read one search and its inverses.  The trace-id run was taken
+before the Fricke memo keyed each lookup on the text of its cyclic normal
+form.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ CONFIGS = {
     "verify-general-pants": config(
         PANTS, "verify", {"alpha": "ab", "beta": "aab", "g": "a", "h": "b"}, n_range=[2, 4]
     ),
+    "trace-id-torus": config(TORUS, "trace-id", {}, n_range=[1, 60]),
 }
 
 GOLDEN = {
@@ -108,6 +111,11 @@ GOLDEN = {
         "json": "d885470df18acd26ec2bdc97724c5fc65e7fafff0ffb762c3d2f460cc1ee126c",
         "text": "20339112843020adbc20c61b72cd2a4c9bafed0d53720d820816bda01f567376",
         "csv": "b8299390328db6c04cf4b4c05a4f1ba0660a366ebb5eb15d2b65740d790a5a9b",
+    },
+    "trace-id-torus": {
+        "json": "22cfbac56c83b5b9c077d26edf61ddd77e7ac1aae9a112da73956c8032a51fb0",
+        "text": "8c4e68eed5723fda061dbe14f4210cb3984a67efea1c5c5395f9e3c2aaf9a857",
+        "csv": "b8330b97e5a7b97b78d9984ed3e80eb5ed6cc366fb7213f3039b45569cefe1d2",
     },
 }
 

@@ -73,6 +73,14 @@ def test_config_rejects_bad_shapes():
         make_config(typo_field=1)
 
 
+def test_config_rejects_non_string_output_path():
+    for target in (7, True, ["report.json"], {"path": "report.json"}):
+        with pytest.raises(ConfigError):
+            make_config(output_path=target)  # open(7) would write to file descriptor 7
+    assert make_config(output_path="report.json").output_path == "report.json"
+    assert make_config(output_path=None).output_path is None
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         make_config(seeds=[])

@@ -1,8 +1,9 @@
 """Exact trace calculus.
 
-The load-bearing oracle is numeric: for random unit-determinant float
-matrix pairs, the Fricke polynomial evaluated at (tr A, tr B, tr AB)
-must reproduce the trace of the evaluated matrix word.
+The load-bearing oracles evaluate the Fricke polynomial at (tr A, tr B,
+tr AB) and compare it with the trace of the evaluated matrix word: at
+random unit-determinant float matrix pairs for short words, and exactly, in
+integers, at random SL2(Z) pairs for words of up to 24 letters.
 """
 
 import math
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenequiv import trace_poly
 from lenequiv.errors import UnsupportedRankError
 from lenequiv.sl2 import Mat2, evaluate
 from lenequiv.trace_poly import TracePolynomial, chebyshev_power, trace_polynomial, verify_trace_identity
-from lenequiv.word_algebra import Word, invert, parse_word
+from lenequiv.word_algebra import Word, free_reduce, invert, parse_word
 
 X = TracePolynomial.variable(0)
 Y = TracePolynomial.variable(1)
@@ -148,6 +150,65 @@ def test_fricke_polynomial_matches_matrix_trace(letters, params):
     got = trace_polynomial(w).evaluate(x, y, z)
     want = evaluate(w, [a, b]).trace()
     assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
+# ------------------------------------------------------ the exact oracle
+
+
+def _int_mul(m, k):
+    return (m[0] * k[0] + m[1] * k[2], m[0] * k[1] + m[1] * k[3],
+            m[2] * k[0] + m[3] * k[2], m[2] * k[1] + m[3] * k[3])
+
+
+def _int_shears(p, q):
+    """[[1, p], [0, 1]] [[1, 0], [q, 1]]: an integer matrix of determinant 1."""
+    return (1 + p * q, p, q, 1)
+
+
+def _int_inverse(m):
+    return (m[3], -m[1], -m[2], m[0])  # determinant 1
+
+
+def _int_trace(letters, a, b):
+    gens = {1: a, -1: _int_inverse(a), 2: b, -2: _int_inverse(b)}
+    out = (1, 0, 0, 1)
+    for x in letters:
+        out = _int_mul(out, gens[x])
+    return out[0] + out[3]
+
+
+shear_st = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24),
+    st.tuples(*(shear_st for _ in range(6))),
+)
+def test_fricke_polynomial_matches_exact_integer_trace(letters, shears):
+    p1, q1, p2, q2, p3, q3 = shears
+    a = _int_shears(p1, q1)
+    b = _int_mul(_int_shears(p2, q2), _int_shears(p3, q3))
+    x, y, z = a[0] + a[3], b[0] + b[3], _int_trace((1, 2), a, b)
+    w = free_reduce(letters)
+    p = trace_polynomial(w)
+    assert p.evaluate(x, y, z) == _int_trace(w.letters, a, b)
+    # one memo entry per unoriented class: rotations and the inverse hit it
+    size = len(trace_poly._memo)
+    rotated = free_reduce(w.letters[1:] + w.letters[:1])
+    assert trace_polynomial(rotated) == p
+    assert trace_polynomial(invert(w)) == p
+    assert trace_polynomial(w) == p
+    assert len(trace_poly._memo) == size
+
+
+def test_memo_keeps_one_entry_per_unoriented_class():
+    # computing AB reaches ab, the class of its inverse, on the way
+    trace_poly._memo.clear()
+    assert tp("AB") == Z
+    assert set(trace_poly._memo) == {"ab", "aB"}
+    assert tp("ab") == tp("ba") == tp("BA") == Z
+    assert len(trace_poly._memo) == 2
 
 
 # ----------------------------------------------------------- the identity

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from lenequiv.errors import AlphabetError, DegenerateInputError
 from lenequiv.word_algebra import (
+    CyclicWord,
     SurfaceSpec,
     Word,
     are_conjugate,
@@ -15,6 +16,7 @@ from lenequiv.word_algebra import (
     invert,
     is_conjugate_to_inverse,
     is_proper_power,
+    letters_to_str,
     parse_word,
     power,
     unoriented_class_key,
@@ -81,6 +83,17 @@ def test_parse_and_str_round_trip():
     assert w.letters == (1, -2, 1, 2)
     assert str(w) == "aBab"
     assert word_str(w) == "aBab"
+
+
+def test_text_form_covers_a_to_z_only():
+    assert letters_to_str((1, -1, 2, -2, 26, -26)) == "aAbBzZ"
+    assert str(Word((26, -25))) == "zY"
+    assert cyclic_normal_form(Word((-26, 1))).key == "aZ"
+    for letter in (27, -27, 0):
+        with pytest.raises(AlphabetError):
+            str(Word((1, letter)))
+        with pytest.raises(AlphabetError):
+            CyclicWord((letter,)).key
 
 
 def test_parse_reduces():

@@ -14,7 +14,6 @@ from .errors import (
     DegeneracyError,
     DegenerateInputError,
     HypothesisViolationError,
-    InconclusiveEnumerationError,
     LenEquivError,
     NonHyperbolicError,
     UnsupportedRankError,
@@ -59,9 +58,11 @@ from .fuchsian import (
 )
 from .intersections import (
     IntersectionRecord,
+    cyclic_order,
+    exact_count,
+    exact_intersections,
     mutual_intersections,
     self_intersections,
-    stabilized_intersections,
 )
 from .bracket import FormalSum, bracket, bracket_self, bracket_self_terms, equal_term_pairs
 from .pipeline import (
@@ -86,7 +87,6 @@ __all__ = [
     "DegeneracyError",
     "DegenerateInputError",
     "HypothesisViolationError",
-    "InconclusiveEnumerationError",
     "LenEquivError",
     "NonHyperbolicError",
     "UnsupportedRankError",
@@ -131,9 +131,11 @@ __all__ = [
     "sample_representation",
     # intersections
     "IntersectionRecord",
+    "cyclic_order",
+    "exact_count",
+    "exact_intersections",
     "mutual_intersections",
     "self_intersections",
-    "stabilized_intersections",
     # bracket
     "FormalSum",
     "bracket",

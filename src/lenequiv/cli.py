@@ -1,8 +1,9 @@
 """Command-line front door: `lenequiv run config.json [overrides]`.
 
-Exit codes: 0 completed, 2 config error (including an unwritable output path)
-or unsupported surface, 3 inconclusive enumeration, 4 verification failure
-(including a failed sampler certification).
+Exit codes: 0 completed, 2 config error (including a report that cannot be
+written to its output path or to standard output) or unsupported surface,
+4 verification failure (including a failed sampler certification).  Code 3,
+once an enumeration that did not stabilize, is no longer used.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     HypothesisViolationError,
-    InconclusiveEnumerationError,
     NonHyperbolicError,
     UnsupportedRankError,
 )
@@ -23,7 +23,6 @@ from .reports import emit, load_config, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_VERIFICATION = 4
 
 _VERIFICATION_ERRORS = (CertificationError, HypothesisViolationError, NonHyperbolicError)
@@ -55,8 +54,11 @@ def _write(data: bytes, path):
         except OSError as exc:
             raise ConfigError("cannot write report to %s: %s" % (path, exc)) from exc
     else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        try:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            raise ConfigError("cannot write report to standard output: %s" % exc) from exc
 
 
 def main(argv=None) -> int:
@@ -79,12 +81,6 @@ def main(argv=None) -> int:
     except (ConfigError, DegenerateInputError, UnsupportedRankError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except InconclusiveEnumerationError as exc:
-        print("inconclusive: %s" % exc, file=sys.stderr)
-        if exc.counts:
-            first = exc.cap - len(exc.counts) + 1
-            print("counts at bounds %d..%d: %s" % (first, exc.cap, exc.counts), file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except _VERIFICATION_ERRORS as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION

@@ -29,15 +29,6 @@ class CertificationError(LenEquivError):
     """Ping-pong certification failed (or was required and absent)."""
 
 
-class InconclusiveEnumerationError(LenEquivError):
-    """Counts did not stabilize before the hard word-length cap."""
-
-    def __init__(self, message, cap=None, counts=None):
-        super().__init__(message)
-        self.cap = cap
-        self.counts = counts
-
-
 class HypothesisViolationError(LenEquivError):
     """Constructor inputs do not satisfy the documented hypothesis."""
 

@@ -1,31 +1,31 @@
-"""Intersection points of closed geodesics via crossing axis translates.
+"""Intersection points of closed geodesics, exactly and by a float walk.
 
 A self-intersection of the geodesic of alpha corresponds to a double coset
 <alpha> g <alpha> whose translate g.A_alpha crosses A_alpha; the two branch
 views g and g^-1 describe the same point on the surface, so self keys are
 canonicalized over both.  A mutual intersection of alpha and beta is a
-double coset <alpha> h <beta> with A_alpha crossing h.A_beta.
+double coset <alpha> h <beta> with A_alpha crossing h.A_beta.  The coset
+key (a Word) is the record's witness.
 
-Both cases share one walk over the word ball, one shell of word length at
-a time; the coset key (a Word) decides identity and is the record's
-witness.  Each record carries the crossing coordinate along A_alpha folded
-into the fundamental period [0, tau_alpha), so the count never depends on
-which lift of a point the walk reached first.  Completeness is heuristic-
-by-stabilization: stabilization reads the count after each shell as the
-walk proceeds and accepts it when two successive bounds agree.
+The exact engine (Cohen-Lustig 1987, Chas 2004) works on the Cayley tree,
+embedded in the plane by the cyclic order of the signed generators that
+the ping-pong certificate fixes.  Two axes cross iff their ends alternate
+on the boundary circle, and a translate that meets A_alpha shares a vertex
+with it, so the candidates g = alpha[:i] beta[:k]^-1 are complete: the
+counts need no bound and are the same for every representation.
+
+The float walk visits the word ball one shell of word length at a time and
+keeps the first lift of each coset whose axis crosses; the bracket tasks
+read it at their word bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import (
-    CertificationError,
-    DegenerateInputError,
-    DegeneracyError,
-    InconclusiveEnumerationError,
-)
+from .errors import CertificationError, DegenerateInputError, DegeneracyError
 from .sl2 import Axis, HPoint, axes_cross, axis, axis_coordinate, crossing_point_and_sign, mobius
 from .word_algebra import (
     Word,
@@ -34,20 +34,20 @@ from .word_algebra import (
     invert,
     is_proper_power,
     junction_product,
+    parse_word,
     word_sort_key,
 )
 
 _EDGE_SNAP = 1e-9
-STABILIZE_START = 4
-STABILIZE_CAP = 12
 
 
 @dataclass(frozen=True)
 class IntersectionRecord:
     witness: Word
-    point: HPoint
     sign: int
-    axis_position: float  # crossing coordinate folded into [0, tau_alpha)
+    # where the float walk found the crossing; the exact engine has no point
+    point: Optional[HPoint] = None
+    axis_position: Optional[float] = None  # crossing coordinate folded into [0, tau_alpha)
 
 
 def _double_coset_min(g: Word, left: Word, right: Word) -> list[tuple[int, ...]]:
@@ -140,28 +140,34 @@ def _folded_position(ax: Axis, p: HPoint) -> float:
     return s
 
 
-def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
-    """Yield (bound, records with witnesses of length <= bound) for bound = 0..cap.
-
-    The ball is walked one shell at a time in (length, letter order), and
-    each double coset keeps the first lift that crosses, so the records
-    after shell k are exactly what an enumeration at bound k finds.  When
-    beta is alpha's class this is the self case: witnesses that are powers
-    of alpha are skipped and keys are canonicalized over g and g^-1.
-    """
+def _check_pair(alpha: Word, beta: Word) -> bool:
+    """Reject inputs with no well-defined records; True in the self case,
+    when beta is alpha's class."""
     _require_cyclically_reduced(alpha, "alpha")
     _require_cyclically_reduced(beta, "beta")
-    _require_certified(rep)
     self_case = cyclic_normal_form(beta) == cyclic_normal_form(alpha)
     if self_case and is_proper_power(alpha)[0]:
         raise DegenerateInputError("alpha must not be a proper power")
     if not self_case and cyclic_normal_form(beta) == cyclic_normal_form(invert(alpha)):
         raise DegenerateInputError("beta is conjugate to alpha^-1")
+    return self_case
+
+
+def _crossing_walk(alpha: Word, beta: Word, rep, word_bound: int) -> list[IntersectionRecord]:
+    """Records with witnesses of length <= word_bound, sorted by witness.
+
+    The ball is walked one shell at a time in (length, letter order), and
+    each double coset keeps the first lift that crosses.  In the self case
+    witnesses that are powers of alpha are skipped and keys are
+    canonicalized over g and g^-1.
+    """
+    self_case = _check_pair(alpha, beta)
+    _require_certified(rep)
     ax = axis(rep.evaluate(alpha))
     ax_beta = ax if self_case else axis(rep.evaluate(beta))
     found: dict[Word, IntersectionRecord] = {}
     inverse_keys: dict[tuple[int, ...], Word] = {}  # self keys awaiting g^-1's turn
-    for bound in range(cap + 1):
+    for bound in range(word_bound + 1):
         for letters, m_g in rep.shell(bound):
             g = Word(letters)
             if self_case and _is_power_of(g, alpha):
@@ -187,44 +193,156 @@ def _crossing_walk(alpha: Word, beta: Word, rep, cap: int):
                     key = self_coset_key(g, alpha)
                     inverse_keys[invert(g).letters] = key
             if key not in found:
-                found[key] = IntersectionRecord(witness=key, point=p, sign=sign, axis_position=s)
-        yield bound, sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
+                found[key] = IntersectionRecord(witness=key, sign=sign, point=p, axis_position=s)
+    return sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
 
 
 def self_intersections(alpha: Word, rep, word_bound: int) -> list[IntersectionRecord]:
-    """One record per self-intersection point of the closed geodesic of alpha.
+    """One record per self-intersection point of the closed geodesic of alpha
+    that has a witness of length <= word_bound, from the float walk.
 
     Enumerates witnesses g with |g| <= word_bound, g not a power of alpha,
     whose translate axis crosses A_alpha; deduplicates over the double
     action g -> alpha^i g alpha^j and over the branch swap g -> g^-1, and
     reports each point at its fundamental-period coordinate.
     """
-    *_, (_, records) = _crossing_walk(alpha, alpha, rep, word_bound)
-    return records
+    return _crossing_walk(alpha, alpha, rep, word_bound)
 
 
 def mutual_intersections(alpha: Word, beta: Word, rep, word_bound: int) -> list[IntersectionRecord]:
-    """One record per intersection point of the geodesics of alpha and beta.
+    """One record per intersection point of the geodesics of alpha and beta
+    that has a witness of length <= word_bound, from the float walk.
 
     Gives the self records when beta is alpha's class; rejects
     beta ~ alpha^-1 (the bracket construction excludes inverse classes).
     """
-    *_, (_, records) = _crossing_walk(alpha, beta, rep, word_bound)
-    return records
+    return _crossing_walk(alpha, beta, rep, word_bound)
 
 
-def stabilized_intersections(
-    alpha: Word, beta: Word, rep, start: int = STABILIZE_START, cap: int = STABILIZE_CAP
-) -> tuple[list[IntersectionRecord], int]:
-    """(records, bound) at the first bound >= start + 1 whose count agrees
-    with the count one bound lower, reading counts as the walk proceeds."""
-    counts = []
-    for bound, records in _crossing_walk(alpha, beta, rep, cap):
-        if bound < start:
-            continue
-        counts.append(len(records))
-        if len(counts) > 1 and counts[-1] == counts[-2]:
-            return records, bound
-    raise InconclusiveEnumerationError(
-        "intersection count did not stabilize by bound %d" % cap, cap=cap, counts=counts
+# ----------------------------------------------------------- exact engine
+
+
+def cyclic_order(rep) -> tuple[int, ...]:
+    """The signed generators in counterclockwise order of their ping-pong
+    arcs: a A B b on the pants layout, B A b a on the torus layout.
+
+    The end x1 x2 x3 ... of the Cayley tree lies in the arc of x1, and x1
+    maps every other arc but x1^-1's into its own, keeping their cyclic
+    order; so this one order embeds the whole tree in the plane.
+    """
+    _require_certified(rep)
+    arcs = rep.certificate.arcs
+    return tuple(parse_word(label).letters[0] for label in sorted(arcs, key=lambda label: arcs[label].start))
+
+
+def _turn_key(letters: tuple[int, ...], pos: dict) -> tuple[int, ...]:
+    """Sort key of the ends of the Cayley tree whose reduced words start
+    with these letters: the place of the first letter in the cyclic order,
+    then each turn (place of the letter - place of the inverse of the letter
+    before) mod 2*rank.  Keys of equal length order ends counterclockwise."""
+    m = len(pos)
+    return (pos[letters[0]],) + tuple((pos[y] - pos[-x]) % m for x, y in zip(letters, letters[1:]))
+
+
+def _periodic(w: tuple[int, ...], length: int) -> tuple[int, ...]:
+    return (w * (length // len(w) + 1))[:length]
+
+
+def _rotation_ends(w: tuple[int, ...], pos: dict, length: int):
+    """Turn keys of the ends w_i^+inf and w_i^-inf, `length` letters each, of
+    every rotation w_i = w[i:] + w[:i]."""
+    n = len(w)
+    inv = invert(Word(w)).letters
+    plus = [_turn_key(_periodic(w[i:] + w[:i], length), pos) for i in range(n)]
+    inv_rotations = [_turn_key(_periodic(inv[i:] + inv[:i], length), pos) for i in range(n)]
+    # w_i^-1 = inv[n - i:] + inv[:n - i]
+    return plus, [inv_rotations[-i % n] for i in range(n)]
+
+
+def _crossing_sign(a_minus, a_plus, q_minus, q_plus) -> int:
+    """0 unless the ends of the two axes alternate; then +1 when the cyclic
+    order read from a_minus is a_minus, q_minus, a_plus, q_plus, else -1."""
+    lo, hi = (a_minus, a_plus) if a_minus < a_plus else (a_plus, a_minus)
+    inside = lo < q_minus < hi
+    if inside == (lo < q_plus < hi):
+        return 0
+    return 1 if inside == (a_minus < a_plus) else -1
+
+
+def _linked_candidates(alpha: Word, beta: Word, pos: dict):
+    """(i, k, sign) for each g = alpha[:i] beta[:k]^-1 whose translate
+    g.A_beta crosses A_alpha, one g per double coset <alpha> g <beta>.
+
+    g.A_beta = alpha[:i].A_beta' with beta' = beta[k:] + beta[:k], so moved
+    by alpha[:i]^-1 both axes pass through the identity.  A translate that
+    meets A_alpha shares a segment of vertices with it; only the first
+    vertex along A_alpha is kept, the one whose previous vertex (in the
+    direction alpha[i-1]^-1) the translate misses.  Two distinct periodic
+    ends agree on fewer than |alpha| + |beta| letters (Fine-Wilf), and a
+    kept translate shares no end with A_alpha, so keys of that length
+    decide the order.
+    """
+    a, b = alpha.letters, beta.letters
+    length = len(a) + len(b)
+    a_plus, a_minus = _rotation_ends(a, pos, length)
+    b_plus, b_minus = _rotation_ends(b, pos, length)
+    for i in range(len(a)):
+        prev = a[i - 1]
+        for k in range(len(b)):
+            if b[k] == -prev or b[k - 1] == prev:
+                continue
+            sign = _crossing_sign(a_minus[i], a_plus[i], b_minus[k], b_plus[k])
+            if sign:
+                yield i, k, sign
+
+
+def _translate_sign(g: Word, alpha: Word, beta: Word, pos: dict) -> int:
+    """Crossing sign of A_alpha and g.A_beta, read from their ends: the
+    ends of g.A_beta run through g's letters, then beta's period, so
+    |g| + |alpha| + |beta| letters decide the order."""
+    a, b, h = alpha.letters, beta.letters, g.letters
+    length = len(h) + len(a) + len(b)
+    a_inv, b_inv = invert(alpha).letters, invert(beta).letters
+    # the junction with h cancels at most |h| letters of beta's period
+    q_plus = junction_product(h, _periodic(b, length + len(h)))[:length]
+    q_minus = junction_product(h, _periodic(b_inv, length + len(h)))[:length]
+    return _crossing_sign(
+        _turn_key(_periodic(a_inv, length), pos),
+        _turn_key(_periodic(a, length), pos),
+        _turn_key(q_minus, pos),
+        _turn_key(q_plus, pos),
     )
+
+
+def exact_count(alpha: Word, beta: Word, order: tuple[int, ...]) -> int:
+    """Number of intersection points of the geodesics of alpha and beta, or
+    of self-intersection points when beta is alpha's class, on every
+    hyperbolic structure whose tree has this cyclic order."""
+    self_case = _check_pair(alpha, beta)
+    pos = {x: j for j, x in enumerate(order)}
+    linked = sum(1 for _ in _linked_candidates(alpha, alpha if self_case else beta, pos))
+    # g and g^-1 are two candidates for one self-intersection point
+    return linked // 2 if self_case else linked
+
+
+def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list[IntersectionRecord]:
+    """One record per intersection point, as exact_count counts them, with
+    the witness the float walk gives it, sorted by witness.
+
+    The self case pairs g with g^-1, whose translate crosses with the
+    opposite sign: one key search per +1 candidate, and the record takes
+    the sign of its witness's own translate.
+    """
+    self_case = _check_pair(alpha, beta)
+    if self_case:
+        beta = alpha
+    pos = {x: j for j, x in enumerate(order)}
+    records = []
+    for i, k, sign in _linked_candidates(alpha, beta, pos):
+        g = Word(junction_product(alpha.letters[:i], invert(Word(beta.letters[:k])).letters))
+        if not self_case:
+            records.append(IntersectionRecord(witness=mutual_coset_key(g, alpha, beta), sign=sign))
+        elif sign > 0:
+            key = self_coset_key(g, alpha)
+            records.append(IntersectionRecord(witness=key, sign=_translate_sign(key, alpha, alpha, pos)))
+    return sorted(records, key=lambda r: word_sort_key(r.witness.letters))

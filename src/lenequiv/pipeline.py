@@ -10,8 +10,10 @@ so the pair is also the general family at (beta, g, h) = (alpha, g, g^-1).
 Equal length for every metric follows from the exact trace identity
 tr(A^n B) = tr(B^n A) on the equal-trace locus; non-conjugacy and
 not-conjugate-to-inverse are exact cyclic-word decisions, independent of
-any representation.  Filling is tested against enumerated simple classes:
-a "yes" is evidence at the stated bound, never a completeness claim.
+any representation.  Filling is tested against enumerated simple classes,
+with exact intersection counts: a simple curve never fills, a "no" names
+a disjoint simple class, and a "yes" is evidence at the stated bound on
+the candidates' length, never a completeness claim.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, HypothesisViolationError
-from .intersections import IntersectionRecord, stabilized_intersections
+from .intersections import IntersectionRecord, cyclic_order, exact_count
 from .trace_poly import verify_trace_identity
 from .word_algebra import (
     Word,
@@ -157,14 +159,19 @@ def find_min_N(alpha: Word, record, n_max: int):
     return n_observed, table
 
 
-@functools.lru_cache(maxsize=16)
 def simple_candidates(rep, bound: int):
     """Simple (zero self-intersection) primitive classes of word length
     <= bound, one representative per unoriented conjugacy class, sorted.
-    Cached for the 16 most recent (representation, bound) pairs; the cache
-    keeps those representations alive and hands every caller one tuple."""
+    They depend on the representation only through its cyclic order."""
+    return _simple_classes(cyclic_order(rep), bound)
+
+
+@functools.lru_cache(maxsize=16)
+def _simple_classes(order: tuple[int, ...], bound: int) -> tuple[Word, ...]:
+    """Cached for the 16 most recent (cyclic order, bound) pairs, so every
+    seed of a run shares one scan, and every caller gets the same tuple."""
     seen: dict[str, Word] = {}
-    for letters in enumerate_reduced_words(rep.rank, bound):
+    for letters in enumerate_reduced_words(len(order) // 2, bound):
         w = Word(letters)
         cnf = cyclic_normal_form(w)
         if len(cnf.letters) != len(letters):
@@ -179,7 +186,7 @@ def simple_candidates(rep, bound: int):
     out = []
     for key in sorted(seen, key=lambda s: (len(s), s)):
         z = seen[key]
-        if not stabilized_intersections(z, z, rep)[0]:
+        if not exact_count(z, z, order):
             out.append(z)
     return tuple(out)
 
@@ -188,10 +195,11 @@ def is_filling(w: Word, rep, scc_word_bound: int):
     """Filling verdict {"yes" | "no" | "inconclusive"} with details.
 
     "no" comes with an explicit witness: an essential non-peripheral
-    simple class disjoint from w.  "yes" means every essential
-    non-peripheral simple class of length <= scc_word_bound + 1 intersects
-    w, and some candidate has length <= scc_word_bound — evidence at the
-    bound, not a proof.
+    simple class disjoint from w, or w itself when w is simple (a simple
+    curve, or a power of one, fills nothing).  "yes" means w is not simple,
+    every essential non-peripheral simple class of length <=
+    scc_word_bound + 1 intersects w, and some candidate has length <=
+    scc_word_bound — evidence at the bound, not a proof.
     Returns (verdict, witnesses, candidate_table).
     """
     w = Word(cyclic_normal_form(w).letters)
@@ -200,6 +208,7 @@ def is_filling(w: Word, rep, scc_word_bound: int):
     peripherals = rep.peripheral_words()
     if peripherals is None:
         raise DegenerateInputError("peripheral classes unknown for this representation")
+    order = cyclic_order(rep)
     w_key = unoriented_class_key(w)
     peripheral_keys = {unoriented_class_key(p) for p in peripherals}
     witnesses = []
@@ -211,13 +220,16 @@ def is_filling(w: Word, rep, scc_word_bound: int):
         if z_key == w_key:
             count = 0  # z is simple, so its class meets <w> = <z> nowhere transversally
         else:
-            count = len(stabilized_intersections(z, w, rep)[0])
+            count = exact_count(z, w, order)
         table.append({"class": str(z), "peripheral": peripheral, "count": count})
         if not peripheral and count == 0:
             witnesses.append(z)
     if witnesses:
         witnesses.sort(key=lambda z: word_sort_key(z.letters))
         return "no", witnesses, table
+    _, root, _ = is_proper_power(w)
+    if not exact_count(root, root, order):
+        return "no", [w], table
     if not any(len(z.letters) <= scc_word_bound for z in candidates):
         return "inconclusive", [], table
     return "yes", [], table

@@ -20,7 +20,7 @@ from . import __version__
 from .bracket import FormalSum, bracket, bracket_self_terms
 from .errors import AlphabetError, ConfigError, DegenerateInputError
 from .fuchsian import SPREAD_FLOOR, sample_representation
-from .intersections import stabilized_intersections
+from .intersections import cyclic_order, exact_intersections
 from .pipeline import (
     build_pair_general,
     build_pair_self,
@@ -243,11 +243,13 @@ def _task_bracket_self(config: RunConfig) -> dict:
     return {"alpha": str(alpha), "per_seed": entries}
 
 
-def _first_self_record(alpha: Word, rep, word_bound: int):
-    records, bound = stabilized_intersections(alpha, alpha, rep, cap=max(word_bound, 12))
+def _first_self_record(alpha: Word, rep):
+    """alpha's self-intersection record with the least witness, and the
+    number of records."""
+    records = exact_intersections(alpha, alpha, cyclic_order(rep))
     if not records:
         raise DegenerateInputError("word %r has no self-intersections" % str(alpha))
-    return records[0], len(records), bound
+    return records[0], len(records)
 
 
 def _task_pairs(config: RunConfig) -> dict:
@@ -255,12 +257,11 @@ def _task_pairs(config: RunConfig) -> dict:
     entries = []
     lo, hi = config.n_range
     for rep in _reps(config):
-        record, count, bound = _first_self_record(alpha, rep, config.word_bound)
+        record, count = _first_self_record(alpha, rep)
         n_observed, table = find_min_N(alpha, record, hi)
         entries.append({
             "seed": rep.seed,
             "self_intersection_count": count,
-            "stabilized_at_bound": bound,
             "witness": str(record.witness),
             "n_observed": n_observed,
             "table": [
@@ -280,7 +281,7 @@ def _build_pair_factory(config: RunConfig, rep):
         beta, g, h = names["beta"], names["g"], names["h"]
         return lambda n: build_pair_general(alpha, beta, g, h, n), str(g)
     (alpha,) = _need(config, "alpha")
-    record, _, _ = _first_self_record(alpha, rep, config.word_bound)
+    record, _ = _first_self_record(alpha, rep)
     return lambda n: build_pair_self(alpha, record, n), str(record.witness)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from lenequiv.bracket import bracket, bracket_self, bracket_self_terms
 from lenequiv.fuchsian import sample_representation
-from lenequiv.intersections import self_intersections, stabilized_intersections
+from lenequiv.intersections import cyclic_order, exact_count, self_intersections
 from lenequiv.pipeline import (
     build_pair_self,
     check_equal_length,
@@ -143,10 +143,10 @@ def test_acceptance_6_stabilized_counts_scale_linearly(capsys, torus_rep, pants_
     ]
     ok = len(cases) >= 5
     for rep, left, right in cases:
-        base = len(stabilized_intersections(parse_word(left), parse_word(right), rep)[0])
+        base = exact_count(parse_word(left), parse_word(right), cyclic_order(rep))
         ok = ok and base > 0
         for n in (2, 3):
-            scaled = len(stabilized_intersections(power(parse_word(left), n), parse_word(right), rep)[0])
+            scaled = exact_count(power(parse_word(left), n), parse_word(right), cyclic_order(rep))
             ok = ok and scaled == n * base
     verdict(capsys, 6, ok)
 

@@ -10,10 +10,7 @@ import pytest
 
 import lenequiv
 from lenequiv import cli
-from lenequiv.errors import InconclusiveEnumerationError
-from lenequiv.intersections import stabilized_intersections
 from lenequiv.reports import RunConfig, emit, run
-from lenequiv.word_algebra import parse_word
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -126,30 +123,6 @@ def test_unsupported_surface_exits_2(tmp_path, capfd):
     assert "genus 2" in err
 
 
-def test_inconclusive_enumeration_exits_3(tmp_path, capsys, monkeypatch):
-    def explode(config):
-        raise InconclusiveEnumerationError("count never stabilized", cap=12)
-
-    monkeypatch.setattr(cli, "run", explode)
-    path = write_config(tmp_path, TRACE_CFG)
-    assert cli.main(["run", path]) == 3
-    assert "inconclusive" in capsys.readouterr().err
-
-
-def test_inconclusive_message_carries_count_trajectory(tmp_path, capsys, monkeypatch, pants_rep):
-    alpha = parse_word("aabab")  # 2, 4, 5 self-intersection records at bounds 1, 2, 3
-
-    def stall(config):
-        return stabilized_intersections(alpha, alpha, pants_rep, start=1, cap=3)
-
-    monkeypatch.setattr(cli, "run", stall)
-    assert cli.main(["run", write_config(tmp_path, TRACE_CFG)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "did not stabilize by bound 3" in captured.err
-    assert "counts at bounds 1..3: [2, 4, 5]" in captured.err
-
-
 def test_hypothesis_violation_exits_4(tmp_path, capsys):
     cfg = {
         "surface": {"genus": 0, "boundary_components": 3},
@@ -176,18 +149,52 @@ def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
     assert "exceed tolerance" in capsys.readouterr().err
 
 
-def test_console_script_end_to_end(tmp_path):
-    path = write_config(tmp_path, TRACE_CFG)
+def run_module(args, **kwargs):
     # the child imports the same lenequiv as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(lenequiv.__file__)))
     paths = (src, os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lenequiv", "run", path, "--format", "text"],
-        capture_output=True, text=True, timeout=120, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "lenequiv", *args], text=True, timeout=120, env=env, **kwargs
     )
+
+
+def test_console_script_end_to_end(tmp_path):
+    path = write_config(tmp_path, TRACE_CFG)
+    proc = run_module(["run", path, "--format", "text"], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert "all hold: True" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_exits_2_without_traceback(tmp_path):
+    path = write_config(tmp_path, TRACE_CFG)
+    with open("/dev/full", "w") as full:
+        proc = run_module(["run", path], stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write report to standard output: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_failed_stdout_write_exits_2(tmp_path, capsys, monkeypatch):
+    class FullBuffer:
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    class FullStdout:
+        buffer = FullBuffer()
+
+    path = write_config(tmp_path, TRACE_CFG)
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot write report to standard output: [Errno 28] No space left on device\n"
+    )
 
 
 def test_main_module_import_does_not_run_the_cli():

@@ -2,8 +2,9 @@
 
 Primary oracle: on the one-holed torus the geometric intersection number
 of simple classes equals |p q' - q p'| of their homology vectors, and
-Christoffel-type words in a, b are simple.  The enumerator must reproduce
-those numbers exactly, with no dependence on the word-ball bound.
+Christoffel-type words in a, b are simple.  The exact engine must
+reproduce those numbers with no bound, and the float walk at a bound
+past its last witness.
 """
 
 import itertools
@@ -11,18 +12,16 @@ import math
 
 import pytest
 
-from lenequiv.errors import (
-    CertificationError,
-    DegenerateInputError,
-    InconclusiveEnumerationError,
-)
+from lenequiv.errors import CertificationError, DegenerateInputError
 from lenequiv.fuchsian import Representation
 from lenequiv.intersections import (
+    cyclic_order,
+    exact_count,
+    exact_intersections,
     mutual_coset_key,
     mutual_intersections,
     self_coset_key,
     self_intersections,
-    stabilized_intersections,
 )
 from lenequiv.sl2 import axis, translation_length
 from lenequiv.word_algebra import (
@@ -53,8 +52,8 @@ def w(text):
     return parse_word(text, rank=2)
 
 
-def stable_count(alpha, beta, rep):
-    return len(stabilized_intersections(alpha, beta, rep)[0])
+def count(alpha, beta, rep):
+    return exact_count(alpha, beta, cyclic_order(rep))
 
 
 # ------------------------------------------------------------ figure eight
@@ -87,9 +86,8 @@ def test_pinned_self_counts(torus_rep, pants_rep):
         (torus_rep, "abaB", 1),
     ]
     for rep, word, want in cases:
-        records, bound = stabilized_intersections(w(word), w(word), rep)
-        assert len(records) == want, word
-        assert bound <= 8
+        assert count(w(word), w(word), rep) == want, word
+        assert len(self_intersections(w(word), rep, 8)) == want, word
 
 
 # ------------------------------------------------------------ mutual counts
@@ -112,29 +110,30 @@ def test_pinned_generator_crossing(torus_rep):
 def test_intersection_numbers_match_homology_oracle(torus_rep):
     for (w1, (p1, q1)), (w2, (p2, q2)) in itertools.combinations(SIMPLE_TORUS.items(), 2):
         want = abs(p1 * q2 - q1 * p2)
-        assert stable_count(w(w1), w(w2), torus_rep) == want, (w1, w2)
+        assert count(w(w1), w(w2), torus_rep) == want, (w1, w2)
 
 
 def test_regression_unbalanced_pair_not_overcounted(torus_rep):
     # b vs abbb once returned 2: a ball witness in the identity double coset
     # was canonicalized too lazily and split off a phantom point
-    assert stable_count(w("b"), w("abbb"), torus_rep) == 1
-    assert stable_count(w("a"), w("aaaab"), torus_rep) == 1
+    for left, right in (("b", "abbb"), ("a", "aaaab")):
+        assert count(w(left), w(right), torus_rep) == 1
+        assert len(mutual_intersections(w(left), w(right), torus_rep, 8)) == 1
 
 
 def test_pants_mutual_counts(pants_rep):
     cases = [("ab", "aab", 2), ("ab", "abb", 2), ("aab", "abb", 2), ("ab", "aabb", 4)]
     for w1, w2, want in cases:
-        assert stable_count(w(w1), w(w2), pants_rep) == want, (w1, w2)
+        assert count(w(w1), w(w2), pants_rep) == want, (w1, w2)
     # disjoint from the cuffs
     for cuff in ("a", "b", "aB"):
-        assert stable_count(w("ab"), w(cuff), pants_rep) == 0, cuff
+        assert count(w("ab"), w(cuff), pants_rep) == 0, cuff
 
 
 def test_power_multiplies_intersection_count(torus_rep, pants_rep):
     for n in (2, 3):
-        assert stable_count(power(w("a"), n), w("b"), torus_rep) == n
-        assert stable_count(power(w("ab"), n), w("aab"), pants_rep) == 2 * n
+        assert count(power(w("a"), n), w("b"), torus_rep) == n
+        assert count(power(w("ab"), n), w("aab"), pants_rep) == 2 * n
 
 
 # --------------------------------------------------------------- coset keys
@@ -259,16 +258,10 @@ def test_requires_certificate(torus_rep):
         mutual_intersections(w("a"), w("b"), bare, 6)
 
 
-# ------------------------------------------------------------- stabilization
+# ------------------------------------------------------------- exact engine
 
 
-def test_stabilized_detail_reports_bound(pants_rep):
-    records, bound = stabilized_intersections(w("ab"), w("aab"), pants_rep)
-    assert len(records) == 2
-    assert bound == 5  # counts agree at bounds 4 and 5 already
-
-
-def test_stabilized_records_match_enumeration_at_bound(torus_rep, pants_rep):
+def test_exact_records_match_enumeration_at_bound(torus_rep, pants_rep):
     cases = [
         (pants_rep, "ab", "aabb"),
         (pants_rep, "aabab", "aabab"),
@@ -276,19 +269,7 @@ def test_stabilized_records_match_enumeration_at_bound(torus_rep, pants_rep):
         (torus_rep, "aabb", "aabb"),
     ]
     for rep, left, right in cases:
-        records, bound = stabilized_intersections(w(left), w(right), rep)
-        assert records == mutual_intersections(w(left), w(right), rep, bound), (left, right)
-
-
-def test_stabilization_needs_two_agreeing_bounds(torus_rep):
-    with pytest.raises(InconclusiveEnumerationError) as exc:
-        stabilized_intersections(w("a"), w("b"), torus_rep, start=4, cap=4)
-    assert exc.value.cap == 4
-    assert exc.value.counts == [1]
-
-
-def test_stabilization_cap_below_start_raises_at_once(torus_rep):
-    with pytest.raises(InconclusiveEnumerationError) as exc:
-        stabilized_intersections(w("a"), w("b"), torus_rep, start=4, cap=3)
-    assert exc.value.cap == 3
-    assert exc.value.counts == []
+        exact = exact_intersections(w(left), w(right), cyclic_order(rep))
+        walked = mutual_intersections(w(left), w(right), rep, 8)
+        assert [(r.witness, r.sign) for r in exact] == [(r.witness, r.sign) for r in walked], (left, right)
+        assert all(r.point is None and r.axis_position is None for r in exact)

@@ -180,6 +180,22 @@ def test_is_filling_simple_curve_is_no(torus_rep):
     assert peripheral == {"abAB"}
 
 
+@pytest.mark.parametrize("cuff", ["a", "b", "aB"])
+def test_boundary_curve_does_not_fill(cuff, pants_rep):
+    # every candidate on the pants is a cuff, so none can miss w; the
+    # verdict rests on w itself being simple
+    verdict, witnesses, table = is_filling(w(cuff), pants_rep, 4)
+    assert verdict == "no"
+    assert [str(z) for z in witnesses] == [cuff]
+    assert [row["class"] for row in table] == ["a", "b", "aB"]
+
+
+def test_simple_torus_curve_keeps_its_witness(torus_rep):
+    verdict, witnesses, _ = is_filling(w("ab"), torus_rep, 4)
+    assert verdict == "no"
+    assert [str(z) for z in witnesses] == ["ab"]
+
+
 def test_is_filling_canonicalizes_input(torus_rep):
     # abA is b up to conjugation; a simple class never fills
     verdict, witnesses, _ = is_filling(w("abA"), torus_rep, 4)

@@ -47,6 +47,14 @@ def round9(x: float) -> float:
     return float(f"{x:.9g}") + 0.0
 
 
+def _json_int(name: str, value) -> int:
+    """An integer config field as given: a JSON integer, never a bool, a
+    float or a string that int() would round or parse."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 @dataclass
 class RunConfig:
     surface: SurfaceSpec
@@ -73,9 +81,9 @@ class RunConfig:
         try:
             sdata = data["surface"]
             surface = SurfaceSpec(
-                genus=int(sdata["genus"]),
-                boundary_components=int(sdata.get("boundary_components", 0)),
-                punctures=int(sdata.get("punctures", 0)),
+                genus=_json_int("genus", sdata["genus"]),
+                boundary_components=_json_int("boundary_components", sdata.get("boundary_components", 0)),
+                punctures=_json_int("punctures", sdata.get("punctures", 0)),
             )
         except KeyError as exc:
             raise ConfigError("surface requires a genus field") from exc
@@ -89,8 +97,10 @@ class RunConfig:
             raise ConfigError("words must be an object mapping names to words")
         words = {}
         for name, text in words_data.items():
+            if not isinstance(text, str):
+                raise ConfigError("word %r must be a string, got %r" % (name, text))
             try:
-                words[name] = parse_word(str(text), rank=surface.rank)
+                words[name] = parse_word(text, rank=surface.rank)
             except AlphabetError as exc:
                 raise ConfigError("word %r does not parse: %s" % (name, exc)) from exc
         seeds = data.get("seeds", [0])
@@ -101,13 +111,13 @@ class RunConfig:
         n_range = data.get("n_range", (1, 8))
         if not isinstance(n_range, (list, tuple)) or len(n_range) != 2:
             raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
+        n_range = (_json_int("n_range", n_range[0]), _json_int("n_range", n_range[1]))
+        word_bound = _json_int("word_bound", data.get("word_bound", 6))
+        scc = data.get("scc_word_bound")
+        scc = None if scc is None else _json_int("scc_word_bound", scc)
         try:
             spread = float(data.get("spread", 3.0))
-            word_bound = int(data.get("word_bound", 6))
-            n_range = (int(n_range[0]), int(n_range[1]))
             tol = float(data.get("tol", 1e-9))
-            scc = data.get("scc_word_bound")
-            scc = None if scc is None else int(scc)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("config value does not parse: %s" % exc) from exc
         if not (math.isfinite(spread) and spread >= SPREAD_FLOOR):

@@ -13,14 +13,17 @@ Each step strictly decreases (letter count, inverse-letter count) in
 lexicographic order, so the reduction terminates.  Results are memoized
 once per unoriented conjugacy class (w and w^-1 have the same polynomial),
 keyed on the text of the cyclic normal form of whichever of the two was
-computed first.  Every lookup receives a word already in cyclic normal form,
-so a hit costs one text key; only a miss normalizes the inverse.
+computed first.  A lookup takes any freely reduced spelling and first tries
+the spelling's own text: every key is the text of a canonical word, so a
+spelling equal to a key is that word and the hit costs one text key.  Only a
+miss computes the cyclic normal form to try the class's key, and then
+normalizes the inverse to try the key of the other orientation.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedRankError
-from .word_algebra import Word, cyclic_normal_form, invert, letters_to_str
+from .word_algebra import Word, cyclic_normal_form, invert, junction_product, letters_to_str
 
 _VAR_NAMES = ("x", "y", "z")
 
@@ -67,6 +70,14 @@ class TracePolynomial:
     def __mul__(self, other) -> "TracePolynomial":
         if isinstance(other, int):
             return TracePolynomial({e: c * other for e, c in self.terms.items()})
+        mono, poly = (self, other) if len(self.terms) == 1 else (other, self)
+        if len(mono.terms) == 1:
+            # a monomial shifts exponents one-to-one: nothing to sum, and no
+            # product of nonzero coefficients is zero
+            ((m0, m1, m2), m), = mono.terms.items()
+            out = TracePolynomial()
+            out.terms = {(e[0] + m0, e[1] + m1, e[2] + m2): c * m for e, c in poly.terms.items()}
+            return out
         out: dict[tuple[int, int, int], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -150,11 +161,16 @@ def trace_polynomial(w: Word) -> TracePolynomial:
     for letter in w.letters:
         if abs(letter) > 2:
             raise UnsupportedRankError("trace coordinates implemented for rank 2 only")
-    return _tr(cyclic_normal_form(w).letters)
+    return _tr(w.letters)
 
 
 def _tr(letters: tuple[int, ...]) -> TracePolynomial:
-    """Fricke polynomial of a word whose letters are in cyclic normal form."""
+    """Fricke polynomial of any freely reduced spelling of a class."""
+    if len(letters) > 1:  # shorter spellings are already canonical
+        hit = _memo.get(letters_to_str(letters))
+        if hit is not None:  # the spelling is literally a memoized canonical word
+            return hit
+        letters = cyclic_normal_form(Word(letters)).letters
     n = len(letters)
     if n == 0:
         return _TWO
@@ -177,22 +193,18 @@ def _tr(letters: tuple[int, ...]) -> TracePolynomial:
         rot = letters[neg + 1 :] + letters[: neg + 1]
         u = rot[:-1]
         v = (-rot[-1],)
-        out = _tr_word(u) * _tr(v) - _tr_word(u + v)
+        out = _tr(u) * _tr(v) - _tr(junction_product(u, v))
     else:
         dbl = next((i for i in range(n) if letters[i] == letters[(i + 1) % n]), None)
         if dbl is not None:
             rot = letters[dbl:] + letters[:dbl]  # starts with a doubled letter
-            out = _tr(rot[:1]) * _tr_word(rot[1:]) - _tr_word(rot[2:])
+            out = _tr(rot[:1]) * _tr(rot[1:]) - _tr(rot[2:])
         else:
             # positive, no doubled letter (cyclically): alternating (ab)^m
             out = chebyshev_power(n // 2, 2)
     if inverse_key not in _memo:  # the recursion can reach w^-1 (w = AB: ab)
         _memo[key] = out
     return out
-
-
-def _tr_word(letters: tuple[int, ...]) -> TracePolynomial:
-    return _tr(cyclic_normal_form(Word(letters)).letters)
 
 
 def verify_trace_identity(n: int) -> bool:

@@ -56,6 +56,10 @@ _LETTER_TEXT = {
 }
 
 
+# letter text -> a character that sorts by _letter_rank: a < A < b < B < ...
+_RANK_TEXT = str.maketrans({text: chr(_letter_rank(x)) for x, text in _LETTER_TEXT.items()})
+
+
 def letters_to_str(letters: Iterable[int]) -> str:
     """Text form of a letter sequence ("aB" for (1, -2)), one table lookup
     per letter."""
@@ -186,33 +190,69 @@ def cyclic_reduce(u: Word) -> Word:
     return Word(letters[i:j])
 
 
-def _least_rotation(ranks: tuple[int, ...]) -> int:
-    """Booth's algorithm: index of the lexicographically least rotation."""
-    n = len(ranks)
-    if n <= 1:
-        return 0
-    doubled = ranks + ranks
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            f[j - k] = -1
+def _common_prefix(d: str, i: int, j: int, n: int) -> int:
+    """Length of the common prefix of d[i:i+n] and d[j:j+n], at most n.
+
+    Gallops over slices of 1, 2, 4, ... letters, then halves the first
+    unequal slice; each slice comparison runs at C speed, so the Python
+    steps are O(log k) and the letters compared O(k) for a prefix of k.
+    """
+    lo, step = 0, 1  # d[i:i+lo] == d[j:j+lo]
+    while True:
+        hi = min(lo + step, n)
+        if d[i + lo : i + hi] != d[j + lo : j + hi]:
+            break
+        lo = hi
+        if lo == n:
+            return n
+        step *= 2
+    while hi - lo > 1:  # d[i+lo:i+hi] differs from d[j+lo:j+hi]
+        mid = (lo + hi) // 2
+        if d[i + lo : i + mid] == d[j + lo : j + mid]:
+            lo = mid
         else:
-            f[j - k] = i + 1
-    return k
+            hi = mid
+    return lo
+
+
+def _least_rotation(s: str) -> int:
+    """Index of the least rotation of s (the first one if s is periodic).
+
+    The two-pointer minimum-rotation scan over d = s + s, with the best
+    start i and a challenger j > i, both at the least letter of s.  At their
+    first disagreement, k letters in, the loser's starts up to k past it are
+    ruled out, so i + j grows by at least k + 1 each round.  Each stretch of
+    k equal letters is measured by _common_prefix in O(log k) slice
+    comparisons of O(k) letters in total: O(n) letters at C speed overall
+    (within O(n log n), never O(n^2)), and Python steps per mismatch, not
+    per letter.
+    """
+    n = len(s)
+    d = s + s
+    least = min(s)
+    i = s.find(least)
+    j = i + 1
+    while True:
+        j = s.find(least, j)  # a least rotation starts with the least letter
+        if j < 0:
+            return i
+        k = _common_prefix(d, i, j, n)
+        if k == n:  # s is periodic with period j - i
+            return i
+        if d[i + k] < d[j + k]:
+            j += k + 1
+        else:
+            i, j = j, max(i + k + 1, j + 1)
 
 
 def cyclic_normal_form(u: Word) -> CyclicWord:
     """Canonical conjugacy-class representative: cyclically reduce, then
     take the lexicographically least rotation under a < A < b < B < ...
+
+    The core becomes text by one table lookup per letter and one
+    str.translate into characters that sort in that order; the rotation is
+    then found by _least_rotation in O(n) letter comparisons at C speed and
+    Python steps per mismatch.
 
     Invariant under conjugation: cyclic_normal_form(conjugate(u, g)) ==
     cyclic_normal_form(u) for every g.
@@ -220,8 +260,7 @@ def cyclic_normal_form(u: Word) -> CyclicWord:
     core = cyclic_reduce(u).letters
     if not core:
         return CyclicWord()
-    ranks = tuple(_letter_rank(x) for x in core)
-    k = _least_rotation(ranks)
+    k = _least_rotation(letters_to_str(core).translate(_RANK_TEXT))
     return CyclicWord(core[k:] + core[:k])
 
 

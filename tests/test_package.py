@@ -1,6 +1,9 @@
 """The package's public surface: ``lenequiv.__all__``."""
 
+import ast
+import pathlib
 import pkgutil
+import sys
 import types
 
 import lenequiv
@@ -26,3 +29,19 @@ def test_star_import_matches_all():
     namespace = {}
     exec("from lenequiv import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(lenequiv.__all__)
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted(pathlib.Path(lenequiv.__file__).parent.rglob("*.py"))
+    assert any(path.name == "word_algebra.py" for path in modules)
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one inside the package
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "lenequiv", (path.name, name)

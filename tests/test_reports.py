@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lenequiv import __version__
+from lenequiv import __version__, cli
 from lenequiv.errors import ConfigError
 from lenequiv.reports import Report, RunConfig, emit, load_config, round9, run
 
@@ -112,6 +112,43 @@ def test_config_rejects_bad_values():
     for value in unreadable:
         with pytest.raises(ConfigError):
             make_config(**value)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n_range": [1, 2.5]},  # int() would run n = 1..2
+        {"n_range": ["1", "2"]},
+        {"n_range": [True, 2]},
+        {"word_bound": True},  # int() would run bound 1
+        {"word_bound": 6.0},
+        {"word_bound": "6"},
+        {"scc_word_bound": 3.5},
+        {"scc_word_bound": True},
+        {"scc_word_bound": "3"},
+        {"surface": {"genus": 1.5, "boundary_components": 1}},  # int() would run the torus
+        {"surface": {"genus": "1", "boundary_components": 1}},
+        {"surface": {"genus": 1, "boundary_components": True}},
+        {"surface": {"genus": 0, "boundary_components": 3.0}},
+        {"surface": {"genus": 0, "boundary_components": 2, "punctures": 1.0}},
+        {"surface": {"genus": 0, "boundary_components": 2, "punctures": "1"}},
+    ],
+)
+def test_config_integer_fields_must_be_json_integers(fields, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        make_config(**fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict({"surface": TORUS_SURFACE, "task": "trace-id"}, **fields)))
+    assert cli.main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [True, None, 12, ["a", "b"]])
+def test_config_word_values_must_be_json_strings(text):
+    # rank 22: str(True) and str(None) would parse as the words "True", "None"
+    surface = {"genus": 11, "boundary_components": 1}
+    with pytest.raises(ConfigError):
+        make_config(surface=surface, words={"alpha": text})
 
 
 def test_config_echo_shape():

@@ -16,7 +16,7 @@ from lenequiv import trace_poly
 from lenequiv.errors import UnsupportedRankError
 from lenequiv.sl2 import Mat2, evaluate
 from lenequiv.trace_poly import TracePolynomial, chebyshev_power, trace_polynomial, verify_trace_identity
-from lenequiv.word_algebra import Word, free_reduce, invert, parse_word
+from lenequiv.word_algebra import Word, conjugate, free_reduce, invert, parse_word
 
 X = TracePolynomial.variable(0)
 Y = TracePolynomial.variable(1)
@@ -209,6 +209,27 @@ def test_memo_keeps_one_entry_per_unoriented_class():
     assert set(trace_poly._memo) == {"ab", "aB"}
     assert tp("ab") == tp("ba") == tp("BA") == Z
     assert len(trace_poly._memo) == 2
+
+
+@pytest.mark.parametrize("text", ["aabaB", "abAB", "aaBBabb"])
+def test_every_spelling_of_a_class_hits_its_memo_entry(text, monkeypatch):
+    w = parse_word(text)
+    p = trace_polynomial(w)
+    (key,) = [k for k, entry in trace_poly._memo.items() if entry is p]
+    size = len(trace_poly._memo)
+    n = len(w)
+    spellings = [Word(u.letters[i:] + u.letters[:i]) for u in (w, invert(w)) for i in range(n)]
+    # conjugates that are not cyclically reduced
+    spellings += [conjugate(u, parse_word(g)) for u in (w, invert(w)) for g in ("b", "BA", "bbA", "aBa")]
+    assert any(s.letters[0] == -s.letters[-1] for s in spellings)
+    for s in spellings:
+        assert trace_polynomial(s) is p, str(s)
+    assert len(trace_poly._memo) == size
+    # the key's own spelling is found by its text, with no normal form computed
+    calls = []
+    monkeypatch.setattr(trace_poly, "cyclic_normal_form", lambda u: calls.append(u))
+    assert trace_polynomial(parse_word(key)) is p
+    assert calls == []
 
 
 # ----------------------------------------------------------- the identity

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,6 +162,60 @@ def test_cyclic_normal_form_examples():
     assert cyclic_normal_form(parse_word("ba")).key == "ab"
     assert cyclic_normal_form(parse_word("bab" + "B")).key == "ab"  # b(ab)b^-1
     assert cyclic_normal_form(parse_word("")).key == ""
+
+
+def test_cyclic_normal_form_matches_oracle_on_every_short_word():
+    count = 0
+    for w in enumerate_reduced_words(2, 8):
+        if w[0] == -w[-1] and len(w) > 1:
+            continue  # not cyclically reduced
+        assert cyclic_normal_form(Word(w)).letters == oracle_cyclic_key(w)
+        count += 1
+    # cyclically reduced words of length n in F_2: 3^n + 2 + (-1)^n
+    assert count == sum(3**n + 2 + (-1) ** n for n in range(1, 9))
+
+
+# the letters these cases use, in canonical order a < A < b < B < c < C < z < Z
+_PLAIN_ORDER = str.maketrans("aAbBcCzZ", "01234567")
+
+
+def plain_least_rotation(text):
+    """The least rotation of text by a min over all its rotations as strings."""
+    n = len(text)
+    doubled = text.translate(_PLAIN_ORDER) * 2
+    k = min(range(n), key=lambda i: doubled[i : i + n])
+    return text[k:] + text[:k]
+
+
+def _random_cyclic_word(length, alphabet, seed):
+    rng = random.Random(seed)
+    out = [rng.choice(alphabet)]
+    while len(out) < length:
+        ch = rng.choice(alphabet)
+        if ch != out[-1].swapcase() and (len(out) < length - 1 or ch != out[0].swapcase()):
+            out.append(ch)
+    return "".join(out)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a" * 10**5 + "b",
+        "a" + "b" * 10**5,
+        "ab" * 50_000 + "aB",
+        "abAB" * 5_000,  # a proper power
+        "aabaB" * 4_000,
+        ("cZ" * 5 + "a") * 2_000,
+        "cZ" * 10_000 + "cz",
+        _random_cyclic_word(20_000, "aAbBcCzZ", seed=7),
+    ],
+    ids=["a^n b", "a b^n", "(ab)^k aB", "(abAB)^k", "(aabaB)^k", "((cZ)^5 a)^k", "(cZ)^k cz", "random"],
+)
+def test_cyclic_normal_form_of_long_words_matches_plain_min(text):
+    expected = plain_least_rotation(text)
+    for shift in (0, len(text) // 3, len(text) - 1):
+        spelling = parse_word(text[shift:] + text[:shift])
+        assert cyclic_normal_form(spelling).key == expected
 
 
 # ------------------------------------------------------------- conjugacy

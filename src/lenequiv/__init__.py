@@ -1,7 +1,7 @@
 """Length-equivalent curves on hyperbolic surfaces via the Goldman bracket.
 
 Exact free-group word algebra, certified Fuchsian sampling, Fricke trace
-polynomials, geodesic intersection enumeration, and the pair-construction
+polynomials, exact geodesic intersections, and the pair-construction
 pipeline, behind a deterministic reporting CLI.
 """
 
@@ -40,10 +40,8 @@ from .sl2 import (
     Axis,
     HPoint,
     Mat2,
-    axes_cross,
     axis,
     classify,
-    crossing_point_and_sign,
     evaluate,
     hyperbolic_cosine_rule,
     mobius,
@@ -61,8 +59,6 @@ from .intersections import (
     cyclic_order,
     exact_count,
     exact_intersections,
-    mutual_intersections,
-    self_intersections,
 )
 from .bracket import FormalSum, bracket, bracket_self, bracket_self_terms, equal_term_pairs
 from .pipeline import (
@@ -111,10 +107,8 @@ __all__ = [
     "Axis",
     "HPoint",
     "Mat2",
-    "axes_cross",
     "axis",
     "classify",
-    "crossing_point_and_sign",
     "evaluate",
     "hyperbolic_cosine_rule",
     "mobius",
@@ -134,8 +128,6 @@ __all__ = [
     "cyclic_order",
     "exact_count",
     "exact_intersections",
-    "mutual_intersections",
-    "self_intersections",
     # bracket
     "FormalSum",
     "bracket",

@@ -10,7 +10,7 @@ both orders with opposite signs, and the canonical sum is always zero.
 from __future__ import annotations
 
 from .errors import DegenerateInputError
-from .intersections import mutual_intersections, self_intersections
+from .intersections import exact_intersections
 from .word_algebra import (
     CyclicWord,
     Word,
@@ -84,40 +84,41 @@ def _check_distinct_classes(alpha: Word, beta: Word):
         raise DegenerateInputError("beta is conjugate to alpha^-1")
 
 
-def bracket(alpha: Word, beta: Word, rep, word_bound: int) -> FormalSum:
-    """Sum of sign * <alpha * beta^h> over intersection records (h, p, sign)."""
+def bracket(alpha: Word, beta: Word, order: tuple[int, ...]) -> FormalSum:
+    """Sum of sign * <alpha * beta^h> over intersection records (h, sign),
+    on the surfaces whose tree has this cyclic order."""
     _check_distinct_classes(alpha, beta)
     return FormalSum.fold(
         (cyclic_normal_form(compose(alpha, conjugate(beta, record.witness))), record.sign)
-        for record in mutual_intersections(alpha, beta, rep, word_bound)
+        for record in exact_intersections(alpha, beta, order)
     )
 
 
-def bracket_self_terms(alpha: Word, rep, word_bound: int):
+def bracket_self_terms(alpha: Word, order: tuple[int, ...]):
     """Pre-cancellation term list for the fattened self bracket.
 
-    Each self-intersection record (g, p, sign) yields the pair
+    Each self-intersection record (g, sign) yields the pair
     (+sign, <alpha * alpha^g>) and (-sign, <alpha^g * alpha>); the two
     classes are conjugate, so they cancel in the canonical sum.
     """
     terms = []
-    for record in self_intersections(alpha, rep, word_bound):
+    for record in exact_intersections(alpha, alpha, order):
         conj_copy = conjugate(alpha, record.witness)
         terms.append((cyclic_normal_form(compose(alpha, conj_copy)), record.sign))
         terms.append((cyclic_normal_form(compose(conj_copy, alpha)), -record.sign))
     return terms
 
 
-def bracket_self(alpha: Word, rep, word_bound: int) -> FormalSum:
-    return FormalSum.fold(bracket_self_terms(alpha, rep, word_bound))
+def bracket_self(alpha: Word, order: tuple[int, ...]) -> FormalSum:
+    return FormalSum.fold(bracket_self_terms(alpha, order))
 
 
-def equal_term_pairs(alpha: Word, beta: Word, rep, word_bound: int):
+def equal_term_pairs(alpha: Word, beta: Word, order: tuple[int, ...]):
     """Witness pairs (g, h) of distinct intersection points whose bracket
     terms <alpha * beta^g> and <alpha * beta^h> are conjugate — the seeds
     for length-equivalent families."""
     _check_distinct_classes(alpha, beta)
-    records = mutual_intersections(alpha, beta, rep, word_bound)
+    records = exact_intersections(alpha, beta, order)
     by_class: dict[CyclicWord, list[Word]] = {}
     for record in records:
         cls = cyclic_normal_form(compose(alpha, conjugate(beta, record.witness)))

@@ -160,13 +160,6 @@ class Representation:
                         self._ball_mats.append(m.mul(self._signed_gen[s]))
             self._ball_levels.append((lo, len(self._ball_words)))
 
-    def shell(self, length: int):
-        """All reduced words of exactly this length with their matrices, in
-        letter order."""
-        self._grow_ball(length)
-        start, stop = self._ball_levels[length]
-        return zip(self._ball_words[start:stop], self._ball_mats[start:stop])
-
     def ball(self, bound: int, include_identity: bool = False):
         """All reduced words of length <= bound with their matrices, in
         deterministic (length, letter-order) order."""

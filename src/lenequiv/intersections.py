@@ -1,4 +1,4 @@
-"""Intersection points of closed geodesics, exactly and by a float walk.
+"""Intersection points of closed geodesics, counted exactly.
 
 A self-intersection of the geodesic of alpha corresponds to a double coset
 <alpha> g <alpha> whose translate g.A_alpha crosses A_alpha; the two branch
@@ -7,26 +7,19 @@ canonicalized over both.  A mutual intersection of alpha and beta is a
 double coset <alpha> h <beta> with A_alpha crossing h.A_beta.  The coset
 key (a Word) is the record's witness.
 
-The exact engine (Cohen-Lustig 1987, Chas 2004) works on the Cayley tree,
+The engine (Cohen-Lustig 1987, Chas 2004) works on the Cayley tree,
 embedded in the plane by the cyclic order of the signed generators that
 the ping-pong certificate fixes.  Two axes cross iff their ends alternate
 on the boundary circle, and a translate that meets A_alpha shares a vertex
-with it, so the candidates g = alpha[:i] beta[:k]^-1 are complete: the
-counts need no bound and are the same for every representation.
-
-The float walk visits the word ball one shell of word length at a time and
-keeps the first lift of each coset whose axis crosses; the bracket tasks
-read it at their word bound.
+with it, so the candidates g = alpha[:i] beta[:k]^-1 are complete: counts
+and records need no bound and are the same for every representation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import CertificationError, DegenerateInputError, DegeneracyError
-from .sl2 import Axis, HPoint, axes_cross, axis, axis_coordinate, crossing_point_and_sign, mobius
+from .errors import CertificationError, DegenerateInputError
 from .word_algebra import (
     Word,
     cyclic_normal_form,
@@ -38,16 +31,11 @@ from .word_algebra import (
     word_sort_key,
 )
 
-_EDGE_SNAP = 1e-9
-
 
 @dataclass(frozen=True)
 class IntersectionRecord:
     witness: Word
     sign: int
-    # where the float walk found the crossing; the exact engine has no point
-    point: Optional[HPoint] = None
-    axis_position: Optional[float] = None  # crossing coordinate folded into [0, tau_alpha)
 
 
 def _double_coset_min(g: Word, left: Word, right: Word) -> list[tuple[int, ...]]:
@@ -113,33 +101,6 @@ def _require_certified(rep):
         raise CertificationError("representation carries no ping-pong certificate")
 
 
-def _is_power_of(g: Word, alpha: Word) -> bool:
-    la, lg = len(alpha.letters), len(g.letters)
-    if lg == 0:
-        return True
-    if lg % la:
-        return False
-    k = lg // la
-    # alpha is cyclically reduced, so alpha^k is alpha's letters k times over
-    return g.letters in (alpha.letters * k, invert(alpha).letters * k)
-
-
-def _folded_position(ax: Axis, p: HPoint) -> float:
-    """Crossing coordinate folded into the fundamental period [0, tau).
-
-    Lifts of one surface point sit at s + k*tau exactly, so folding the
-    coordinate of whichever lift was found (the numerically healthiest one
-    the ball produced) yields the in-window representative's coordinate.
-    Deduplication is by double coset; the coordinate is reporting data.
-    """
-    s = axis_coordinate(ax, p)
-    tau = ax.translation_length
-    s -= tau * math.floor(s / tau)
-    if s <= _EDGE_SNAP or tau - s <= _EDGE_SNAP:
-        s = 0.0
-    return s
-
-
 def _check_pair(alpha: Word, beta: Word) -> bool:
     """Reject inputs with no well-defined records; True in the self case,
     when beta is alpha's class."""
@@ -151,72 +112,6 @@ def _check_pair(alpha: Word, beta: Word) -> bool:
     if not self_case and cyclic_normal_form(beta) == cyclic_normal_form(invert(alpha)):
         raise DegenerateInputError("beta is conjugate to alpha^-1")
     return self_case
-
-
-def _crossing_walk(alpha: Word, beta: Word, rep, word_bound: int) -> list[IntersectionRecord]:
-    """Records with witnesses of length <= word_bound, sorted by witness.
-
-    The ball is walked one shell at a time in (length, letter order), and
-    each double coset keeps the first lift that crosses.  In the self case
-    witnesses that are powers of alpha are skipped and keys are
-    canonicalized over g and g^-1.
-    """
-    self_case = _check_pair(alpha, beta)
-    _require_certified(rep)
-    ax = axis(rep.evaluate(alpha))
-    ax_beta = ax if self_case else axis(rep.evaluate(beta))
-    found: dict[Word, IntersectionRecord] = {}
-    inverse_keys: dict[tuple[int, ...], Word] = {}  # self keys awaiting g^-1's turn
-    for bound in range(word_bound + 1):
-        for letters, m_g in rep.shell(bound):
-            g = Word(letters)
-            if self_case and _is_power_of(g, alpha):
-                continue
-            translate = Axis(
-                mobius(m_g, ax_beta.repelling), mobius(m_g, ax_beta.attracting), ax_beta.translation_length
-            )
-            try:
-                if not axes_cross(ax, translate):
-                    continue
-                p, sign = crossing_point_and_sign(ax, translate)
-            except DegeneracyError:
-                continue  # on A_alpha's geodesic, or a boundary-scale lift of a counted coset
-            s = _folded_position(ax, p)
-            if not self_case:
-                key = mutual_coset_key(g, alpha, beta)
-            else:
-                # g^-1 lies in this shell and its translate crosses iff g's
-                # does; self keys are symmetric in g <-> g^-1, so one search
-                # serves both
-                key = inverse_keys.pop(letters, None)
-                if key is None:
-                    key = self_coset_key(g, alpha)
-                    inverse_keys[invert(g).letters] = key
-            if key not in found:
-                found[key] = IntersectionRecord(witness=key, sign=sign, point=p, axis_position=s)
-    return sorted(found.values(), key=lambda r: word_sort_key(r.witness.letters))
-
-
-def self_intersections(alpha: Word, rep, word_bound: int) -> list[IntersectionRecord]:
-    """One record per self-intersection point of the closed geodesic of alpha
-    that has a witness of length <= word_bound, from the float walk.
-
-    Enumerates witnesses g with |g| <= word_bound, g not a power of alpha,
-    whose translate axis crosses A_alpha; deduplicates over the double
-    action g -> alpha^i g alpha^j and over the branch swap g -> g^-1, and
-    reports each point at its fundamental-period coordinate.
-    """
-    return _crossing_walk(alpha, alpha, rep, word_bound)
-
-
-def mutual_intersections(alpha: Word, beta: Word, rep, word_bound: int) -> list[IntersectionRecord]:
-    """One record per intersection point of the geodesics of alpha and beta
-    that has a witness of length <= word_bound, from the float walk.
-
-    Gives the self records when beta is alpha's class; rejects
-    beta ~ alpha^-1 (the bracket construction excludes inverse classes).
-    """
-    return _crossing_walk(alpha, beta, rep, word_bound)
 
 
 # ----------------------------------------------------------- exact engine
@@ -326,8 +221,8 @@ def exact_count(alpha: Word, beta: Word, order: tuple[int, ...]) -> int:
 
 
 def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list[IntersectionRecord]:
-    """One record per intersection point, as exact_count counts them, with
-    the witness the float walk gives it, sorted by witness.
+    """One record per intersection point, as exact_count counts them, sorted
+    by witness.
 
     The self case pairs g with g^-1, whose translate crosses with the
     opposite sign: one key search per +1 candidate, and the record takes

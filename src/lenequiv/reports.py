@@ -55,6 +55,17 @@ def _json_int(name: str, value) -> int:
     return value
 
 
+def _json_number(name: str, value) -> float:
+    """A number config field as given: a JSON integer or float, never a
+    bool or a string that float() would parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("%s must be a number, got %r" % (name, value))
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise ConfigError("%s is out of range: %s" % (name, exc)) from exc
+
+
 @dataclass
 class RunConfig:
     surface: SurfaceSpec
@@ -62,7 +73,6 @@ class RunConfig:
     words: dict = field(default_factory=dict)  # name -> Word
     seeds: tuple = (0,)
     spread: float = 3.0
-    word_bound: int = 6
     n_range: tuple = (1, 8)
     tol: float = 1e-9
     output_path: Optional[str] = None
@@ -73,8 +83,8 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(data) - {
-            "surface", "task", "words", "seeds", "spread", "word_bound",
-            "n_range", "tol", "output_path", "scc_word_bound",
+            "surface", "task", "words", "seeds", "spread", "n_range", "tol",
+            "output_path", "scc_word_bound",
         }
         if unknown:
             raise ConfigError("unknown config fields: %s" % ", ".join(sorted(unknown)))
@@ -112,18 +122,12 @@ class RunConfig:
         if not isinstance(n_range, (list, tuple)) or len(n_range) != 2:
             raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
         n_range = (_json_int("n_range", n_range[0]), _json_int("n_range", n_range[1]))
-        word_bound = _json_int("word_bound", data.get("word_bound", 6))
         scc = data.get("scc_word_bound")
         scc = None if scc is None else _json_int("scc_word_bound", scc)
-        try:
-            spread = float(data.get("spread", 3.0))
-            tol = float(data.get("tol", 1e-9))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError("config value does not parse: %s" % exc) from exc
+        spread = _json_number("spread", data.get("spread", 3.0))
+        tol = _json_number("tol", data.get("tol", 1e-9))
         if not (math.isfinite(spread) and spread >= SPREAD_FLOOR):
             raise ConfigError("spread must be a finite number of at least %s" % SPREAD_FLOOR)
-        if word_bound < 1:
-            raise ConfigError("word_bound must be positive")
         if not 1 <= n_range[0] <= n_range[1]:
             raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
         if not (0.0 < tol <= 1e-3):
@@ -139,7 +143,6 @@ class RunConfig:
             words=words,
             seeds=tuple(seeds),
             spread=spread,
-            word_bound=word_bound,
             n_range=n_range,
             tol=tol,
             output_path=output_path,
@@ -157,7 +160,6 @@ class RunConfig:
             "words": {name: str(w) for name, w in sorted(self.words.items())},
             "seeds": list(self.seeds),
             "spread": round9(self.spread),
-            "word_bound": self.word_bound,
             "n_range": list(self.n_range),
             "tol": round9(self.tol),
             "scc_word_bound": self.scc_word_bound,
@@ -228,7 +230,7 @@ def _task_bracket(config: RunConfig) -> dict:
     alpha, beta = _need(config, "alpha", "beta")
     entries = []
     for rep in _reps(config):
-        s = bracket(alpha, beta, rep, config.word_bound)
+        s = bracket(alpha, beta, cyclic_order(rep))
         entries.append({
             "seed": rep.seed,
             "terms": _serialize_sum(s),
@@ -242,7 +244,7 @@ def _task_bracket_self(config: RunConfig) -> dict:
     (alpha,) = _need(config, "alpha")
     entries = []
     for rep in _reps(config):
-        terms = bracket_self_terms(alpha, rep, config.word_bound)
+        terms = bracket_self_terms(alpha, cyclic_order(rep))
         folded = FormalSum.fold(terms)
         entries.append({
             "seed": rep.seed,

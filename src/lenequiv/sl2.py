@@ -8,14 +8,12 @@ m and -m represent the same isometry, all trace tests use |tr|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegeneracyError, NonHyperbolicError
 
 INF = math.inf
 CLASSIFY_TOL = 1e-9
-_GAP_TOL = 1e-9  # angular separation below which crossing decisions abort
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,6 @@ class Axis:
     repelling: float
     attracting: float
     translation_length: float
-    # boundary angles of (repelling, attracting), computed once per axis
-    angles: tuple[float, float] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        angles = (boundary_angle(self.repelling), boundary_angle(self.attracting))
-        object.__setattr__(self, "angles", angles)
 
 
 def boundary_angle(x: float) -> float:
@@ -122,30 +114,6 @@ def axis(m: Mat2) -> Axis:
     lam_att = (tr + sgn * root) / 2.0  # eigenvalue with |lam| > 1
     lam_rep = (tr - sgn * root) / 2.0
     return Axis((lam_rep - m.d) / m.c, (lam_att - m.d) / m.c, tau)
-
-
-def _angle_gap(s: float, t: float) -> float:
-    d = abs(s - t) % _TWO_PI
-    return min(d, _TWO_PI - d)
-
-
-def _in_arc(theta: float, start: float, end: float) -> bool:
-    # walking counterclockwise from angle start to angle end, do we pass theta?
-    span = (end - start) % _TWO_PI
-    off = (theta - start) % _TWO_PI
-    return 0.0 < off < span
-
-
-def axes_cross(a1: Axis, a2: Axis) -> bool:
-    """True iff the endpoint pairs interleave on the boundary circle; raises
-    DegeneracyError when endpoints nearly coincide, as on a shared geodesic."""
-    start, end = a1.angles
-    for p in a2.angles:
-        for q in (start, end):
-            if _angle_gap(p, q) < _GAP_TOL:
-                raise DegeneracyError("axis endpoints nearly coincide")
-    rep2, att2 = a2.angles
-    return _in_arc(rep2, start, end) != _in_arc(att2, start, end)
 
 
 def _geometry(ax: Axis):
@@ -193,23 +161,6 @@ def tangent_at(ax: Axis, p: HPoint) -> tuple[float, float]:
     return (-tx, -ty)
 
 
-def crossing_point_and_sign(a1: Axis, a2: Axis) -> tuple[HPoint, int]:
-    """Crossing point and orientation sign of the frame (tangent a1, tangent a2).
-
-    +1 when the frame is counterclockwise (positively oriented), -1 otherwise.
-    Antisymmetric under swapping the axes; flips when either orientation flips.
-    """
-    if not axes_cross(a1, a2):
-        raise DegeneracyError("axes do not cross")
-    p = crossing_point(a1, a2)
-    t1 = tangent_at(a1, p)
-    t2 = tangent_at(a2, p)
-    cross = t1[0] * t2[1] - t1[1] * t2[0]
-    if abs(cross) < 1e-9:
-        raise DegeneracyError("near-tangential crossing, sign unreliable")
-    return p, (1 if cross > 0 else -1)
-
-
 def crossing_angle(a1: Axis, a2: Axis) -> float:
     """Angle in (0, pi) between the positive tangent directions at the crossing."""
     p = crossing_point(a1, a2)
@@ -217,28 +168,6 @@ def crossing_angle(a1: Axis, a2: Axis) -> float:
     t2 = tangent_at(a2, p)
     dot = max(-1.0, min(1.0, t1[0] * t2[0] + t1[1] * t2[1]))
     return math.acos(dot)
-
-
-def axis_coordinate(ax: Axis, p: HPoint) -> float:
-    """Arclength coordinate of an on-axis point, increasing toward attracting.
-
-    Computed by mapping (repelling, attracting) -> (0, inf); the conjugated
-    point is i*e^s.  The anchor (s = 0) is fixed per axis, so the isometry
-    owning the axis shifts s by exactly its translation length.
-    """
-    u, w = ax.repelling, ax.attracting
-    z = complex(p.x, p.y)
-    if math.isinf(w):
-        t = z - u
-    elif math.isinf(u):
-        t = -1.0 / (z - w)
-    elif w > u:
-        t = (z - u) / (w - z)
-    else:
-        t = (z - u) / (z - w)
-    if t.imag <= 0.0:
-        raise DegeneracyError("point is not on the axis")
-    return math.log(t.imag)
 
 
 def hyperbolic_cosine_rule(side_a: float, side_b: float, angle_gamma: float) -> float:

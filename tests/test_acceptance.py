@@ -14,7 +14,7 @@ import pytest
 
 from lenequiv.bracket import bracket, bracket_self, bracket_self_terms
 from lenequiv.fuchsian import sample_representation
-from lenequiv.intersections import cyclic_order, exact_count, self_intersections
+from lenequiv.intersections import cyclic_order, exact_count, exact_intersections
 from lenequiv.pipeline import (
     build_pair_self,
     check_equal_length,
@@ -51,7 +51,7 @@ def verdict(capsys, number, ok):
 def fig8(pants_rep):
     """The figure-eight curve and its unique self-intersection record."""
     alpha = parse_word("ab")
-    records = self_intersections(alpha, pants_rep, 6)
+    records = exact_intersections(alpha, alpha, cyclic_order(pants_rep))
     assert len(records) == 1
     return alpha, records[0]
 
@@ -117,8 +117,8 @@ def test_acceptance_5_bracket_lie_checks(capsys, torus_rep, pants_rep):
     ok = len(self_curves) >= 10
     for name, text in self_curves:
         rep = by_name[name]
-        terms = bracket_self_terms(parse_word(text), rep, 6)
-        ok = ok and bool(terms) and bracket_self(parse_word(text), rep, 6).is_zero()
+        terms = bracket_self_terms(parse_word(text), cyclic_order(rep))
+        ok = ok and bool(terms) and bracket_self(parse_word(text), cyclic_order(rep)).is_zero()
         for plus, minus in zip(terms[::2], terms[1::2]):
             ok = ok and plus[1] == -minus[1] and plus[0] == minus[0]
     pairs = [
@@ -130,8 +130,8 @@ def test_acceptance_5_bracket_lie_checks(capsys, torus_rep, pants_rep):
     ok = ok and len(pairs) >= 10
     for name, left, right in pairs:
         rep = by_name[name]
-        lhs = bracket(parse_word(left), parse_word(right), rep, 6)
-        rhs = bracket(parse_word(right), parse_word(left), rep, 6)
+        lhs = bracket(parse_word(left), parse_word(right), cyclic_order(rep))
+        rhs = bracket(parse_word(right), parse_word(left), cyclic_order(rep))
         ok = ok and (lhs + rhs).is_zero()
     verdict(capsys, 5, ok)
 

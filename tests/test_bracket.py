@@ -6,10 +6,14 @@ and bracket terms live in the class of the loop product at each point.
 """
 
 import pytest
+from reference_walk import reference_records
 
 from lenequiv.bracket import FormalSum, bracket, bracket_self, bracket_self_terms, equal_term_pairs
 from lenequiv.errors import DegenerateInputError
+from lenequiv.fuchsian import sample_representation
+from lenequiv.intersections import cyclic_order
 from lenequiv.word_algebra import (
+    SurfaceSpec,
     are_conjugate,
     compose,
     conjugate,
@@ -17,6 +21,9 @@ from lenequiv.word_algebra import (
     invert,
     parse_word,
 )
+
+PANTS = SurfaceSpec(genus=0, boundary_components=3)
+TORUS = SurfaceSpec(genus=1, boundary_components=1)
 
 SELF_ZERO_CURVES = (
     # (fixture name, word): >= 10 distinct classes with self-intersections
@@ -95,19 +102,19 @@ def test_formal_sum_rendering():
 
 
 def test_bracket_generator_pair_pinned(torus_rep):
-    out = bracket(w("a"), w("b"), torus_rep, 6)
+    out = bracket(w("a"), w("b"), cyclic_order(torus_rep))
     assert out.serialize() == [["ab", -1]]
     assert str(out) == "-1*<ab>"
 
 
 def test_bracket_two_point_pair_pinned(torus_rep):
-    out = bracket(w("a"), w("abb"), torus_rep, 6)
+    out = bracket(w("a"), w("abb"), cyclic_order(torus_rep))
     assert out.serialize() == [["aabb", -1], ["abab", -1]]
 
 
 def test_bracket_term_count_matches_intersections(pants_rep):
     # four crossings, generically four distinct classes
-    out = bracket(w("ab"), w("aabb"), pants_rep, 8)
+    out = bracket(w("ab"), w("aabb"), cyclic_order(pants_rep))
     assert sum(abs(c) for _, c in out.terms.items()) <= 4
     assert not out.is_zero()
 
@@ -115,8 +122,8 @@ def test_bracket_term_count_matches_intersections(pants_rep):
 @pytest.mark.parametrize("fixture,left,right", ANTISYMMETRY_PAIRS)
 def test_bracket_antisymmetry(fixture, left, right, torus_rep, pants_rep):
     rep = torus_rep if fixture == "torus" else pants_rep
-    lhs = bracket(w(left), w(right), rep, 6)
-    rhs = bracket(w(right), w(left), rep, 6)
+    lhs = bracket(w(left), w(right), cyclic_order(rep))
+    rhs = bracket(w(right), w(left), cyclic_order(rep))
     assert (lhs + rhs).is_zero()
     if not lhs.is_zero():
         assert lhs == rhs.negate()
@@ -124,9 +131,9 @@ def test_bracket_antisymmetry(fixture, left, right, torus_rep, pants_rep):
 
 def test_bracket_rejects_equal_or_inverse_classes(torus_rep):
     with pytest.raises(DegenerateInputError):
-        bracket(w("ab"), w("ba"), torus_rep, 6)
+        bracket(w("ab"), w("ba"), cyclic_order(torus_rep))
     with pytest.raises(DegenerateInputError):
-        bracket(w("ab"), w("BA"), torus_rep, 6)
+        bracket(w("ab"), w("BA"), cyclic_order(torus_rep))
 
 
 # -------------------------------------------------------------- self bracket
@@ -135,10 +142,10 @@ def test_bracket_rejects_equal_or_inverse_classes(torus_rep):
 @pytest.mark.parametrize("fixture,word", SELF_ZERO_CURVES)
 def test_self_bracket_cancels(fixture, word, torus_rep, pants_rep):
     rep = torus_rep if fixture == "torus" else pants_rep
-    terms = bracket_self_terms(w(word), rep, 6)
+    terms = bracket_self_terms(w(word), cyclic_order(rep))
     assert terms, word  # these curves all self-intersect
     assert len(terms) % 2 == 0
-    assert bracket_self(w(word), rep, 6).is_zero()
+    assert bracket_self(w(word), cyclic_order(rep)).is_zero()
     # per-record structure: consecutive pairs carry opposite signs and
     # conjugate classes
     for plus, minus in zip(terms[::2], terms[1::2]):
@@ -147,28 +154,43 @@ def test_self_bracket_cancels(fixture, word, torus_rep, pants_rep):
 
 
 def test_self_bracket_figure_eight_terms(pants_rep):
-    terms = bracket_self_terms(w("ab"), pants_rep, 6)
+    terms = bracket_self_terms(w("ab"), cyclic_order(pants_rep))
     assert [(t[0].key, t[1]) for t in terms] == [("aabb", 1), ("aabb", -1)]
 
 
 def test_self_bracket_term_classes_are_loop_products(pants_rep):
     # the +term of each record is <alpha * alpha^g> for the record witness
-    from lenequiv.intersections import self_intersections
-
     alpha = w("aab")
-    records = self_intersections(alpha, pants_rep, 6)
-    terms = bracket_self_terms(alpha, pants_rep, 6)
+    records = reference_records(alpha, alpha, pants_rep, 6)
+    terms = bracket_self_terms(alpha, cyclic_order(pants_rep))
+    assert len(terms) == 2 * len(records)
     for record, (plus_cls, sign) in zip(records, terms[::2]):
         loop = compose(alpha, conjugate(alpha, record.witness))
         assert cyclic_normal_form(loop) == plus_cls
         assert sign == record.sign
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k2_self_bracket_has_seven_records_on_every_seed(seed):
+    # a float walk of the word ball at bound 11 gave 16, 18 and 34 terms
+    rep = sample_representation(PANTS, seed)
+    terms = bracket_self_terms(w("aBABAb"), cyclic_order(rep))
+    assert len(terms) == 14
+    assert FormalSum.fold(terms).is_zero()
+
+
+def test_simple_torus_classes_have_no_self_bracket_terms():
+    # a float walk at bound 8 gave each of them one record on seed 2
+    rep = sample_representation(TORUS, 2)
+    for word in ("aaaab", "aaaaB"):
+        assert bracket_self_terms(w(word), cyclic_order(rep)) == [], word
+
+
 # ------------------------------------------------------------- family seeds
 
 
 def test_equal_term_pairs_pants_seed(pants_rep):
-    pairs = equal_term_pairs(w("ab"), w("aab"), pants_rep, 6)
+    pairs = equal_term_pairs(w("ab"), w("aab"), cyclic_order(pants_rep))
     assert [(str(g), str(h)) for g, h in pairs] == [("a", "b")]
     g, h = pairs[0]
     left = compose(w("ab"), conjugate(w("aab"), g))
@@ -178,10 +200,10 @@ def test_equal_term_pairs_pants_seed(pants_rep):
 
 
 def test_equal_term_pairs_empty_when_classes_split(torus_rep):
-    assert equal_term_pairs(w("a"), w("b"), torus_rep, 6) == []
-    assert equal_term_pairs(w("a"), w("abb"), torus_rep, 6) == []
+    assert equal_term_pairs(w("a"), w("b"), cyclic_order(torus_rep)) == []
+    assert equal_term_pairs(w("a"), w("abb"), cyclic_order(torus_rep)) == []
 
 
 def test_equal_term_pairs_rejects_same_class(pants_rep):
     with pytest.raises(DegenerateInputError):
-        equal_term_pairs(w("ab"), w("ab"), pants_rep, 6)
+        equal_term_pairs(w("ab"), w("ab"), cyclic_order(pants_rep))

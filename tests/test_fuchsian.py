@@ -195,12 +195,6 @@ def test_ball_matrices_match_evaluate(torus_rep):
         assert m.entries() == pytest.approx(direct.entries(), rel=1e-12, abs=1e-12)
 
 
-def test_shells_partition_the_ball(pants_rep):
-    shells = [w for k in range(4) for w, _ in pants_rep.shell(k)]
-    assert shells == [w for w, _ in pants_rep.ball(3, include_identity=True)]
-    assert all(len(w) == 3 for w, _ in pants_rep.shell(3))
-
-
 def test_regression_long_ball_products_stay_finite():
     # Renormalizing each product by its computed determinant raised
     # "determinant must be positive" at length 9: ad - bc of large entries

@@ -3,14 +3,14 @@
 Primary oracle: on the one-holed torus the geometric intersection number
 of simple classes equals |p q' - q p'| of their homology vectors, and
 Christoffel-type words in a, b are simple.  The exact engine must
-reproduce those numbers with no bound, and the float walk at a bound
-past its last witness.
+reproduce those numbers with no bound, and the float reference walk at a
+bound past its last witness.
 """
 
 import itertools
-import math
 
 import pytest
+from reference_walk import reference_records
 
 from lenequiv.errors import CertificationError, DegenerateInputError
 from lenequiv.fuchsian import Representation
@@ -19,11 +19,8 @@ from lenequiv.intersections import (
     exact_count,
     exact_intersections,
     mutual_coset_key,
-    mutual_intersections,
     self_coset_key,
-    self_intersections,
 )
-from lenequiv.sl2 import axis, translation_length
 from lenequiv.word_algebra import (
     Word,
     compose,
@@ -56,24 +53,25 @@ def count(alpha, beta, rep):
     return exact_count(alpha, beta, cyclic_order(rep))
 
 
+def pairs(records):
+    return [(r.witness, r.sign) for r in records]
+
+
 # ------------------------------------------------------------ figure eight
 
 
 def test_figure_eight_has_one_self_intersection(pants_rep):
-    for bound in (6, 7, 8):
-        recs = self_intersections(w("ab"), pants_rep, bound)
-        assert len(recs) == 1, bound
-    (rec,) = self_intersections(w("ab"), pants_rep, 8)
+    (rec,) = exact_intersections(w("ab"), w("ab"), cyclic_order(pants_rep))
     assert str(rec.witness) == "a"
     assert rec.sign == 1
-    tau = translation_length(pants_rep.evaluate(w("ab")))
-    assert 0.0 <= rec.axis_position < tau
+    for bound in (6, 7, 8):
+        assert pairs(reference_records(w("ab"), w("ab"), pants_rep, bound)) == [(rec.witness, 1)], bound
 
 
 def test_simple_classes_have_no_self_intersections(torus_rep, pants_rep):
-    assert self_intersections(w("aB"), pants_rep, 8) == []
-    assert self_intersections(w("ab"), torus_rep, 8) == []
-    assert self_intersections(w("aB"), torus_rep, 8) == []
+    for rep, word in ((pants_rep, "aB"), (torus_rep, "ab"), (torus_rep, "aB")):
+        assert exact_intersections(w(word), w(word), cyclic_order(rep)) == [], word
+        assert reference_records(w(word), w(word), rep, 8) == [], word
 
 
 def test_pinned_self_counts(torus_rep, pants_rep):
@@ -87,24 +85,24 @@ def test_pinned_self_counts(torus_rep, pants_rep):
     ]
     for rep, word, want in cases:
         assert count(w(word), w(word), rep) == want, word
-        assert len(self_intersections(w(word), rep, 8)) == want, word
+        assert len(reference_records(w(word), w(word), rep, 8)) == want, word
 
 
 # ------------------------------------------------------------ mutual counts
 
 
 def test_pinned_generator_crossing(torus_rep):
-    recs = mutual_intersections(w("a"), w("b"), torus_rep, 6)
+    order = cyclic_order(torus_rep)
+    recs = exact_intersections(w("a"), w("b"), order)
     assert len(recs) == 1
     (rec,) = recs
     assert rec.witness.is_identity
     assert rec.witness == Word(())
     assert rec.sign == -1
-    assert rec.point.x == pytest.approx(0.0, abs=1e-12)
-    assert rec.point.y == pytest.approx(1.0, rel=1e-12)
-    assert rec.axis_position == 0.0
+    assert pairs(reference_records(w("a"), w("b"), torus_rep, 6)) == pairs(recs)
     # swapping the arguments flips the crossing frame
-    assert mutual_intersections(w("b"), w("a"), torus_rep, 6)[0].sign == +1
+    assert exact_intersections(w("b"), w("a"), order)[0].sign == +1
+    assert reference_records(w("b"), w("a"), torus_rep, 6)[0].sign == +1
 
 
 def test_intersection_numbers_match_homology_oracle(torus_rep):
@@ -118,7 +116,7 @@ def test_regression_unbalanced_pair_not_overcounted(torus_rep):
     # was canonicalized too lazily and split off a phantom point
     for left, right in (("b", "abbb"), ("a", "aaaab")):
         assert count(w(left), w(right), torus_rep) == 1
-        assert len(mutual_intersections(w(left), w(right), torus_rep, 8)) == 1
+        assert len(reference_records(w(left), w(right), torus_rep, 8)) == 1
 
 
 def test_pants_mutual_counts(pants_rep):
@@ -210,52 +208,52 @@ def test_coset_keys_invariant_under_subgroup_action():
 
 
 def test_records_are_sorted_and_canonical(pants_rep):
-    recs = self_intersections(w("aabab"), pants_rep, 8)
+    recs = exact_intersections(w("aabab"), w("aabab"), cyclic_order(pants_rep))
     keys = [word_sort_key(r.witness.letters) for r in recs]
     assert keys == sorted(keys)
-    tau = translation_length(pants_rep.evaluate(w("aabab")))
     for r in recs:
         assert self_coset_key(r.witness, w("aabab")) == r.witness
-        assert 0.0 <= r.axis_position < tau
         assert r.sign in (-1, 1)
-        assert r.point.y > 0.0
+    assert pairs(reference_records(w("aabab"), w("aabab"), pants_rep, 8)) == pairs(recs)
 
 
 # ------------------------------------------------------------ input policing
 
 
 def test_rejects_identity_and_unreduced_words(torus_rep):
+    order = cyclic_order(torus_rep)
     with pytest.raises(DegenerateInputError):
-        self_intersections(w(""), torus_rep, 6)
+        exact_intersections(w(""), w(""), order)
     with pytest.raises(DegenerateInputError):
-        self_intersections(w("Bab"), torus_rep, 6)  # not cyclically reduced
+        exact_intersections(w("Bab"), w("Bab"), order)  # not cyclically reduced
     with pytest.raises(DegenerateInputError):
-        mutual_intersections(w("a"), w("Bab"), torus_rep, 6)
+        exact_intersections(w("a"), w("Bab"), order)
 
 
 def test_rejects_proper_power_for_self(pants_rep):
     with pytest.raises(DegenerateInputError):
-        self_intersections(w("abab"), pants_rep, 6)
+        exact_intersections(w("abab"), w("abab"), cyclic_order(pants_rep))
 
 
 def test_mutual_routes_same_class_to_self(pants_rep):
-    recs = mutual_intersections(w("ab"), w("ba"), pants_rep, 8)
+    recs = exact_intersections(w("ab"), w("ba"), cyclic_order(pants_rep))
     assert len(recs) == 1 and str(recs[0].witness) == "a"
+    assert pairs(reference_records(w("ab"), w("ba"), pants_rep, 8)) == pairs(recs)
 
 
 def test_mutual_rejects_inverse_class(torus_rep):
+    order = cyclic_order(torus_rep)
     with pytest.raises(DegenerateInputError):
-        mutual_intersections(w("ab"), w("BA"), torus_rep, 6)
+        exact_intersections(w("ab"), w("BA"), order)
     with pytest.raises(DegenerateInputError):
-        mutual_intersections(w("ab"), w("AB"), torus_rep, 6)  # conjugate of the inverse
+        exact_intersections(w("ab"), w("AB"), order)  # conjugate of the inverse
 
 
 def test_requires_certificate(torus_rep):
+    # records and counts read the tree order, which only a certificate fixes
     bare = Representation(torus_rep.surface, torus_rep.matrices)
     with pytest.raises(CertificationError):
-        self_intersections(w("ab"), bare, 6)
-    with pytest.raises(CertificationError):
-        mutual_intersections(w("a"), w("b"), bare, 6)
+        cyclic_order(bare)
 
 
 # ------------------------------------------------------------- exact engine
@@ -270,6 +268,5 @@ def test_exact_records_match_enumeration_at_bound(torus_rep, pants_rep):
     ]
     for rep, left, right in cases:
         exact = exact_intersections(w(left), w(right), cyclic_order(rep))
-        walked = mutual_intersections(w(left), w(right), rep, 8)
-        assert [(r.witness, r.sign) for r in exact] == [(r.witness, r.sign) for r in walked], (left, right)
-        assert all(r.point is None and r.axis_position is None for r in exact)
+        walked = reference_records(w(left), w(right), rep, 8)
+        assert pairs(exact) == pairs(walked), (left, right)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenequiv.errors import DegenerateInputError, HypothesisViolationError
-from lenequiv.intersections import self_intersections
+from lenequiv.intersections import cyclic_order, exact_intersections
 from lenequiv.pipeline import (
     CurvePair,
     build_pair_general,
@@ -42,7 +42,7 @@ def w(text):
 
 @pytest.fixture(scope="module")
 def fig8_record(pants_rep):
-    (rec,) = self_intersections(w("ab"), pants_rep, 6)
+    (rec,) = exact_intersections(w("ab"), w("ab"), cyclic_order(pants_rep))
     return rec
 
 

@@ -41,7 +41,6 @@ def test_config_defaults():
     cfg = make_config()
     assert cfg.seeds == (0,)
     assert cfg.spread == 3.0
-    assert cfg.word_bound == 6
     assert cfg.n_range == (1, 8)
     assert cfg.tol == 1e-9
     assert cfg.scc_word_bound is None
@@ -91,8 +90,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         make_config(spread=1.0)  # below the sampler floor
     with pytest.raises(ConfigError):
-        make_config(word_bound=0)
-    with pytest.raises(ConfigError):
         make_config(n_range=[2, 1])
     with pytest.raises(ConfigError):
         make_config(n_range=[0, 3])
@@ -105,9 +102,9 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         make_config(surface={"genus": 0, "boundary_components": 1})  # not hyperbolic
     unreadable = (
-        {"word_bound": "x"}, {"tol": "x"}, {"scc_word_bound": "x"}, {"spread": "x"},
-        {"n_range": ["a", 3]}, {"n_range": [1, None]}, {"word_bound": float("inf")},
-        {"spread": "nan"}, {"spread": float("inf")},
+        {"tol": "x"}, {"scc_word_bound": "x"}, {"spread": "x"},
+        {"n_range": ["a", 3]}, {"n_range": [1, None]},
+        {"spread": "nan"}, {"spread": float("inf")}, {"spread": 10**400},
     )
     for value in unreadable:
         with pytest.raises(ConfigError):
@@ -120,9 +117,10 @@ def test_config_rejects_bad_values():
         {"n_range": [1, 2.5]},  # int() would run n = 1..2
         {"n_range": ["1", "2"]},
         {"n_range": [True, 2]},
-        {"word_bound": True},  # int() would run bound 1
-        {"word_bound": 6.0},
-        {"word_bound": "6"},
+        {"spread": "4.5"},  # float() would run spread 4.5
+        {"spread": " 4.5 "},
+        {"tol": "1e-6"},
+        {"spread": True},
         {"scc_word_bound": 3.5},
         {"scc_word_bound": True},
         {"scc_word_bound": "3"},
@@ -135,12 +133,21 @@ def test_config_rejects_bad_values():
     ],
 )
 def test_config_integer_fields_must_be_json_integers(fields, tmp_path, capsys):
+    # and number fields must be JSON numbers: no field parses a string or a bool
     with pytest.raises(ConfigError):
         make_config(**fields)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict({"surface": TORUS_SURFACE, "task": "trace-id"}, **fields)))
     assert cli.main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_naming_word_bound_exits_2(tmp_path, capsys):
+    # intersection records are exact, so no field bounds their enumeration
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"surface": TORUS_SURFACE, "task": "trace-id", "word_bound": 6}))
+    assert cli.main(["run", str(path)]) == 2
+    assert "unknown config fields: word_bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [True, None, 12, ["a", "b"]])
@@ -207,13 +214,13 @@ def test_bracket_self_payload():
 
 def test_bracket_self_walks_once_per_seed(monkeypatch):
     walks = []
-    walk = bracket_module.self_intersections
+    walk = bracket_module.exact_intersections
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(bracket_module, "self_intersections", counted)
+    monkeypatch.setattr(bracket_module, "exact_intersections", counted)
     cfg = RunConfig.from_dict(
         {"surface": PANTS_SURFACE, "task": "bracket-self", "words": {"alpha": "aabab"}, "seeds": [0, 1]}
     )

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_walk import axes_cross, crossing_sign
 
 from lenequiv.errors import DegeneracyError, NonHyperbolicError
 from lenequiv.sl2 import (
@@ -19,14 +20,11 @@ from lenequiv.sl2 import (
     Axis,
     HPoint,
     Mat2,
-    axes_cross,
     axis,
-    axis_coordinate,
     boundary_angle,
     classify,
     crossing_angle,
     crossing_point,
-    crossing_point_and_sign,
     dist_to_plus_minus_identity,
     evaluate,
     hyperbolic_cosine_rule,
@@ -133,7 +131,6 @@ def test_axis_diagonal():
     # inverse matrix: same geodesic, reversed orientation
     bx = axis(A_DIAG.inv())
     assert bx.repelling == INF and bx.attracting == 0.0
-    assert bx.angles == ax.angles[::-1]
 
 
 def test_axis_upper_triangular():
@@ -169,14 +166,6 @@ def test_axis_matches_iteration_oracle(t, g):
     assert translation_length(m) == pytest.approx(2.0 * math.log(t), rel=1e-9)
 
 
-def test_axis_angles_are_cached_and_not_a_field():
-    ax = Axis(-1.0, INF, 1.0)
-    assert ax.angles == (boundary_angle(-1.0), boundary_angle(INF))
-    assert ax.angles is ax.angles  # computed once
-    assert ax == Axis(-1.0, INF, 1.0)  # equality and hash ignore the cache
-    assert hash(ax) == hash(Axis(-1.0, INF, 1.0))
-
-
 def test_power_keeps_oriented_axis():
     m2 = B_UNIT.mul(B_UNIT)
     ax, ax2 = axis(B_UNIT), axis(m2)
@@ -207,6 +196,8 @@ def test_mobius_extended_reals():
 
 
 # ---------------------------------------------------------------- crossings
+# axes_cross and crossing_sign are the reference walk's, built on sl2's
+# boundary_angle, crossing_point and tangent_at
 
 
 def test_axes_cross_interleaving():
@@ -224,7 +215,7 @@ def test_axes_cross_rejects_near_shared_endpoint():
     with pytest.raises(DegeneracyError):
         axes_cross(Axis(0.0, INF, 1.0), Axis(1e-12, 1.0, 1.0))
     # one geodesic, either orientation, any translation length: the
-    # crossing walk relies on these raising to skip lifts on A_alpha itself
+    # reference walk relies on these raising to skip lifts on A_alpha itself
     for a1, a2 in (
         (Axis(0.0, INF, 1.0), Axis(0.0, INF, 3.0)),
         (Axis(0.0, INF, 1.0), Axis(INF, 0.0, 1.0)),
@@ -271,17 +262,15 @@ def test_tangents_are_unit_and_oriented():
 def test_crossing_sign_pinned_and_antisymmetric():
     vert = Axis(0.0, INF, 1.0)
     circ = Axis(-1.0, 1.0, 1.0)
-    p, sign = crossing_point_and_sign(vert, circ)
-    assert (p.x, p.y) == (0.0, 1.0)
-    assert sign == -1  # (up, rightward) is a clockwise frame
-    assert crossing_point_and_sign(circ, vert)[1] == +1
-    assert crossing_point_and_sign(vert, Axis(1.0, -1.0, 1.0))[1] == +1
-    assert crossing_point_and_sign(Axis(INF, 0.0, 1.0), circ)[1] == +1
+    assert crossing_sign(vert, circ) == -1  # (up, rightward) is a clockwise frame
+    assert crossing_sign(circ, vert) == +1
+    assert crossing_sign(vert, Axis(1.0, -1.0, 1.0)) == +1
+    assert crossing_sign(Axis(INF, 0.0, 1.0), circ) == +1
 
 
 def test_crossing_sign_requires_crossing():
     with pytest.raises(DegeneracyError):
-        crossing_point_and_sign(Axis(0.0, INF, 1.0), Axis(1.0, 3.0, 1.0))
+        crossing_sign(Axis(0.0, INF, 1.0), Axis(1.0, 3.0, 1.0))
 
 
 def test_crossing_angle_values():
@@ -292,49 +281,6 @@ def test_crossing_angle_values():
     # reversing one orientation replaces theta by pi - theta
     assert crossing_angle(vert, Axis(3.0, -1.0, 1.0)) == pytest.approx(2 * math.pi / 3)
     assert crossing_angle(Axis(-1.0, 3.0, 1.0), vert) == pytest.approx(math.pi / 3)
-
-
-# ------------------------------------------------------------ axis coordinate
-
-
-def test_axis_coordinate_vertical_chart():
-    ax = Axis(0.0, INF, 1.0)
-    for s in (-2.0, 0.0, 0.5, 3.0):
-        assert axis_coordinate(ax, HPoint(0.0, math.exp(s))) == pytest.approx(s)
-    # reversed orientation: coordinate decreases with height
-    rev = Axis(INF, 0.0, 1.0)
-    assert axis_coordinate(rev, HPoint(0.0, math.exp(2.0))) == pytest.approx(-2.0)
-
-
-def test_axis_coordinate_semicircle_anchor():
-    # the apex of the unit semicircle is the anchor in both orientations
-    assert axis_coordinate(Axis(-1.0, 1.0, 1.0), HPoint(0.0, 1.0)) == pytest.approx(0.0)
-    assert axis_coordinate(Axis(1.0, -1.0, 1.0), HPoint(0.0, 1.0)) == pytest.approx(0.0)
-
-
-def test_axis_coordinate_rejects_collapsed_point():
-    with pytest.raises(DegeneracyError):
-        axis_coordinate(Axis(0.0, INF, 1.0), HPoint(5.0, 0.0))
-
-
-def mobius_complex(m, z):
-    return (m.a * z + m.b) / (m.c * z + m.d)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    t=st.floats(min_value=1.2, max_value=4.0),
-    g=conjugators,
-    s=st.floats(min_value=-2.0, max_value=2.0),
-)
-def test_isometry_shifts_coordinate_by_translation_length(t, g, s):
-    m = g.mul(Mat2(t, 0.0, 0.0, 1.0 / t)).mul(g.inv())
-    ax = axis(m)
-    z = mobius_complex(g, complex(0.0, math.exp(s)))  # a point on the axis of m
-    p = HPoint(z.real, z.imag)
-    mz = mobius_complex(m, z)
-    shift = axis_coordinate(ax, HPoint(mz.real, mz.imag)) - axis_coordinate(ax, p)
-    assert shift == pytest.approx(ax.translation_length, rel=1e-9, abs=1e-9)
 
 
 # -------------------------------------------------------------- cosine rule

@@ -65,13 +65,11 @@ from .pipeline import (
     CurvePair,
     build_pair_general,
     build_pair_self,
-    check_equal_length,
     check_equal_length_symbolic,
     check_nonconjugate,
     find_min_N,
     is_filling,
     simple_candidates,
-    verify_filling_pairs,
 )
 from .reports import Report, RunConfig, emit, load_config, run
 
@@ -138,13 +136,11 @@ __all__ = [
     "CurvePair",
     "build_pair_general",
     "build_pair_self",
-    "check_equal_length",
     "check_equal_length_symbolic",
     "check_nonconjugate",
     "find_min_N",
     "is_filling",
     "simple_candidates",
-    "verify_filling_pairs",
     # reports
     "Report",
     "RunConfig",

@@ -8,12 +8,14 @@ The self family comes from a self-intersection witness g of a curve alpha:
 Conjugating right by g^-1 and rotating shows right ~ alpha^n * alpha^(g^-1),
 so the pair is also the general family at (beta, g, h) = (alpha, g, g^-1).
 Equal length for every metric follows from the exact trace identity
-tr(A^n B) = tr(B^n A) on the equal-trace locus; non-conjugacy and
-not-conjugate-to-inverse are exact cyclic-word decisions, independent of
-any representation.  Filling is tested against enumerated simple classes,
-with exact intersection counts: a simple curve never fills, a "no" names
-a disjoint simple class, and a "yes" is evidence at the stated bound on
-the candidates' length, never a completeness claim.
+tr(A^n B) = tr(B^n A) on the equal-trace locus, once the pair's terms are
+conjugate; non-conjugacy and not-conjugate-to-inverse are exact
+cyclic-word decisions.  None of these verdicts reads a representation.
+Filling is tested against enumerated simple classes, with exact
+intersection counts: a simple curve never fills, a "no" names a disjoint
+simple class, and a "yes" is evidence at the stated bound on the
+candidates' length, never a completeness claim.  The sampled lengths that
+show the equal-length verdict on given metrics belong to the report layer.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, HypothesisViolationError
-from .intersections import IntersectionRecord, cyclic_order, exact_count
+from .intersections import cyclic_order, exact_count
 from .trace_poly import verify_trace_identity
 from .word_algebra import (
     Word,
@@ -37,7 +39,6 @@ from .word_algebra import (
     unoriented_class_key,
     word_sort_key,
 )
-from .sl2 import translation_length
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,11 @@ class CurvePair:
     provenance: tuple  # ("self", alpha, g) | ("general", alpha, beta, g, h)
 
 
-def _witness_word(record_or_word) -> Word:
-    if isinstance(record_or_word, IntersectionRecord):
-        return record_or_word.witness
-    return record_or_word
-
-
-def build_pair_self(alpha: Word, record, n: int) -> CurvePair:
+def build_pair_self(alpha: Word, g: Word, n: int) -> CurvePair:
     """The pair (alpha^n alpha^g, (alpha^g)^n alpha) for a self-intersection
     witness g."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    g = _witness_word(record)
     conj_copy = conjugate(alpha, g)
     left = compose(power(alpha, n), conj_copy)
     right = compose(power(conj_copy, n), alpha)
@@ -82,47 +76,23 @@ def build_pair_general(alpha: Word, beta: Word, g: Word, h: Word, n: int) -> Cur
     return CurvePair(left, right, n, ("general", alpha, beta, g, h))
 
 
-def check_equal_length(pair: CurvePair, reps, tol: float = 1e-9):
-    """(equal within tol, max relative deviation) of the two translation
-    lengths over every representation."""
-    max_dev = 0.0
-    for rep in reps:
-        tau_left = translation_length(rep.evaluate(pair.left))
-        tau_right = translation_length(rep.evaluate(pair.right))
-        dev = abs(tau_left - tau_right) / max(tau_left, tau_right)
-        max_dev = max(max_dev, dev)
-    return max_dev <= tol, max_dev
+def check_equal_length_symbolic(pair: CurvePair) -> bool:
+    """Metric-free equal-length verdict.
 
-
-def check_equal_length_symbolic(pair: CurvePair, reps, tol: float = 1e-9) -> bool:
-    """Metric-free half of the equal-length verdict.
-
-    The exact part is the trace identity tr(A^n B) = tr(B^n A) on the
-    equal-trace locus.  The per-representation part checks the trace
-    equalities that place the pair on that locus: for the self family
-    tr(alpha) = tr(alpha^g); for the general family tr(beta^g) = tr(beta^h)
-    and tr(alpha beta^g) = tr(alpha beta^h).  Together they pin the two
-    Fricke evaluations to the same point for every n at once.
+    The trace identity tr(A^n B) = tr(B^n A) holds exactly on the
+    equal-trace locus.  Both families lie on it when their terms are
+    conjugate: alpha and alpha^g, and beta^g and beta^h, are conjugate by
+    construction, so the one condition left to check is
+    <alpha beta^g> = <alpha beta^h> for the general family.  Conjugate
+    words have equal traces in every representation, so the verdict holds
+    for every metric and every n at once.
     """
     if not verify_trace_identity(pair.n):
         return False
-    kind = pair.provenance[0]
-    for rep in reps:
-        if kind == "self":
-            _, alpha, g = pair.provenance
-            t1 = abs(rep.evaluate(alpha).trace())
-            t2 = abs(rep.evaluate(conjugate(alpha, g)).trace())
-            if abs(t1 - t2) / max(t1, t2) > tol:
-                return False
-        else:
-            _, alpha, beta, g, h = pair.provenance
-            bg, bh = conjugate(beta, g), conjugate(beta, h)
-            for u, v in ((bg, bh), (compose(alpha, bg), compose(alpha, bh))):
-                t1 = abs(rep.evaluate(u).trace())
-                t2 = abs(rep.evaluate(v).trace())
-                if abs(t1 - t2) / max(t1, t2) > tol:
-                    return False
-    return True
+    if pair.provenance[0] == "self":
+        return True
+    _, alpha, beta, g, h = pair.provenance
+    return are_conjugate(compose(alpha, conjugate(beta, g)), compose(alpha, conjugate(beta, h)))
 
 
 def check_nonconjugate(pair: CurvePair) -> tuple[bool, bool]:
@@ -134,26 +104,18 @@ def check_nonconjugate(pair: CurvePair) -> tuple[bool, bool]:
     )
 
 
-def find_min_N(alpha: Word, record, n_max: int):
+def find_min_N(alpha: Word, g: Word, n_max: int):
     """Least N with both non-conjugacy verdicts passing for every n in
     (N, n_max]; returns (N or None, per-n table).  The table rows are
     (n, nonconjugate, not_conjugate_to_inverse); nothing is extrapolated
-    beyond n_max."""
+    beyond n_max.  The n = 1 members alpha alpha^g and alpha^g alpha are
+    conjugate (xy against yx), so n = 1 always fails and N >= 1."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     table = []
-    failures = []
     for n in range(1, n_max + 1):
-        pair = build_pair_self(alpha, record, n)
-        nonconj, not_inv = check_nonconjugate(pair)
-        table.append((n, nonconj, not_inv))
-        if not (nonconj and not_inv):
-            failures.append(n)
-    if not failures:
-        # the n = 1 pair is conjugate by construction, so this branch is
-        # unreachable for genuine self records; kept for safety
-        return (1 if n_max >= 2 else None), table
-    n_observed = max(failures)
+        table.append((n, *check_nonconjugate(build_pair_self(alpha, g, n))))
+    n_observed = max(n for n, nonconj, not_inv in table if not (nonconj and not_inv))
     if n_observed >= n_max:
         return None, table
     return n_observed, table
@@ -233,27 +195,3 @@ def is_filling(w: Word, rep, scc_word_bound: int):
     if not any(len(z.letters) <= scc_word_bound for z in candidates):
         return "inconclusive", [], table
     return "yes", [], table
-
-
-def verify_filling_pairs(alpha: Word, record, n_range, rep, scc_word_bound: int = 4):
-    """Per-n filling verdicts for both members of the self pair.
-
-    Requires is_filling(alpha) = "yes" first; the returned context table
-    lists every simple candidate z with its intersection count i(z, alpha)
-    and the threshold 2*i(z, alpha)."""
-    verdict, _, alpha_table = is_filling(alpha, rep, scc_word_bound)
-    if verdict != "yes":
-        raise DegenerateInputError("alpha is not verified filling (verdict %r)" % verdict)
-    context = [
-        {"class": row["class"], "peripheral": row["peripheral"], "count": row["count"],
-         "threshold": 2 * row["count"]}
-        for row in alpha_table
-    ]
-    rows = []
-    lo, hi = n_range
-    for n in range(lo, hi + 1):
-        pair = build_pair_self(alpha, record, n)
-        left_v, _, _ = is_filling(pair.left, rep, scc_word_bound)
-        right_v, _, _ = is_filling(pair.right, rep, scc_word_bound)
-        rows.append({"n": n, "filling_left": left_v, "filling_right": right_v})
-    return {"context": context, "rows": rows}

@@ -35,6 +35,11 @@ from .word_algebra import SurfaceSpec, Word, parse_word
 
 TASKS = ("bracket", "bracket-self", "pairs", "verify", "trace-id", "filling", "sample-reps")
 
+# trace-id and verify build the Fricke polynomials of a^n b and b^n a by a
+# recursion about n frames deep, so a larger n ends in a RecursionError;
+# n = 500 takes under a second and well under 100 MB
+TRACE_N_MAX = 500
+
 _CSV_VERIFY_COLUMNS = (
     "seed", "n", "tau_left", "tau_right", "rel_dev",
     "nonconjugate", "filling_left", "filling_right",
@@ -64,6 +69,11 @@ def _json_number(name: str, value) -> float:
         return float(value)
     except OverflowError as exc:  # an integer past the float range
         raise ConfigError("%s is out of range: %s" % (name, exc)) from exc
+
+
+def _check_trace_bound(task: str, n_range) -> None:
+    if task in ("trace-id", "verify") and n_range[1] > TRACE_N_MAX:
+        raise ConfigError("task %r takes n_range up to %d, got %d" % (task, TRACE_N_MAX, n_range[1]))
 
 
 @dataclass
@@ -130,6 +140,7 @@ class RunConfig:
             raise ConfigError("spread must be a finite number of at least %s" % SPREAD_FLOOR)
         if not 1 <= n_range[0] <= n_range[1]:
             raise ConfigError("n_range must be [lo, hi] with 1 <= lo <= hi")
+        _check_trace_bound(task, n_range)
         if not (0.0 < tol <= 1e-3):
             raise ConfigError("tol must lie in (0, 1e-3]")
         if scc is not None and scc < 1:
@@ -226,33 +237,36 @@ def _task_sample_reps(config: RunConfig) -> dict:
     return {"representations": entries}
 
 
+def _per_seed(reps, body: dict) -> list:
+    """One report entry per seed, each holding the same exact body.
+
+    Exact answers read only the cyclic order of the ping-pong arcs, which
+    the certificate fixes per layout: every certified seed of a surface
+    gives the same order, so an answer computed once holds for every seed.
+    Every seed is still sampled, so one that fails certification fails the
+    run."""
+    return [dict(seed=rep.seed, **body) for rep in reps]
+
+
 def _task_bracket(config: RunConfig) -> dict:
     alpha, beta = _need(config, "alpha", "beta")
-    entries = []
-    for rep in _reps(config):
-        s = bracket(alpha, beta, cyclic_order(rep))
-        entries.append({
-            "seed": rep.seed,
-            "terms": _serialize_sum(s),
-            "term_count": len(s.terms),
-            "is_zero": s.is_zero(),
-        })
-    return {"alpha": str(alpha), "beta": str(beta), "per_seed": entries}
+    reps = _reps(config)
+    s = bracket(alpha, beta, cyclic_order(reps[0]))
+    body = {"terms": _serialize_sum(s), "term_count": len(s.terms), "is_zero": s.is_zero()}
+    return {"alpha": str(alpha), "beta": str(beta), "per_seed": _per_seed(reps, body)}
 
 
 def _task_bracket_self(config: RunConfig) -> dict:
     (alpha,) = _need(config, "alpha")
-    entries = []
-    for rep in _reps(config):
-        terms = bracket_self_terms(alpha, cyclic_order(rep))
-        folded = FormalSum.fold(terms)
-        entries.append({
-            "seed": rep.seed,
-            "pre_cancellation": [[cw.key, sign] for cw, sign in terms],
-            "folded": _serialize_sum(folded),
-            "is_zero": folded.is_zero(),
-        })
-    return {"alpha": str(alpha), "per_seed": entries}
+    reps = _reps(config)
+    terms = bracket_self_terms(alpha, cyclic_order(reps[0]))
+    folded = FormalSum.fold(terms)
+    body = {
+        "pre_cancellation": [[cw.key, sign] for cw, sign in terms],
+        "folded": _serialize_sum(folded),
+        "is_zero": folded.is_zero(),
+    }
+    return {"alpha": str(alpha), "per_seed": _per_seed(reps, body)}
 
 
 def _first_self_record(alpha: Word, rep):
@@ -266,73 +280,66 @@ def _first_self_record(alpha: Word, rep):
 
 def _task_pairs(config: RunConfig) -> dict:
     (alpha,) = _need(config, "alpha")
-    entries = []
+    reps = _reps(config)
+    record, count = _first_self_record(alpha, reps[0])
+    n_observed, table = find_min_N(alpha, record.witness, config.n_range[1])
+    body = {
+        "self_intersection_count": count,
+        "witness": str(record.witness),
+        "n_observed": n_observed,
+        "table": [
+            {"n": n, "nonconjugate": nc, "not_conjugate_to_inverse": ni}
+            for n, nc, ni in table
+        ],
+    }
+    return {"alpha": str(alpha), "per_seed": _per_seed(reps, body)}
+
+
+def _verify_pairs(config: RunConfig, rep):
+    """(witness, one pair per n in n_range): the self pair from alpha's
+    first witness, or the general pair when beta, g and h are all named in
+    the config."""
+    (alpha,) = _need(config, "alpha")
     lo, hi = config.n_range
-    for rep in _reps(config):
-        record, count = _first_self_record(alpha, rep)
-        n_observed, table = find_min_N(alpha, record, hi)
-        entries.append({
-            "seed": rep.seed,
-            "self_intersection_count": count,
-            "witness": str(record.witness),
-            "n_observed": n_observed,
-            "table": [
-                {"n": n, "nonconjugate": nc, "not_conjugate_to_inverse": ni}
-                for n, nc, ni in table
-            ],
-        })
-    return {"alpha": str(alpha), "per_seed": entries}
-
-
-def _build_pair_factory(config: RunConfig, rep):
-    """Self pair from alpha's first witness, or general pair when beta, g
-    and h are all named in the config."""
     names = config.words
     if {"beta", "g", "h"} <= set(names):
-        (alpha,) = _need(config, "alpha")
         beta, g, h = names["beta"], names["g"], names["h"]
-        return lambda n: build_pair_general(alpha, beta, g, h, n), str(g)
-    (alpha,) = _need(config, "alpha")
-    record, _ = _first_self_record(alpha, rep)
-    return lambda n: build_pair_self(alpha, record, n), str(record.witness)
+        return str(g), [build_pair_general(alpha, beta, g, h, n) for n in range(lo, hi + 1)]
+    g = _first_self_record(alpha, rep)[0].witness
+    return str(g), [build_pair_self(alpha, g, n) for n in range(lo, hi + 1)]
 
 
 def _task_verify(config: RunConfig) -> dict:
     reps = _reps(config)
-    lo, hi = config.n_range
+    witness, pairs = _verify_pairs(config, reps[0])
+    # the exact columns depend on n alone; only the lengths are per seed
+    columns, symbolic = [], []
+    for pair in pairs:
+        if config.scc_word_bound is not None:
+            fill_l = is_filling(pair.left, reps[0], config.scc_word_bound)[0]
+            fill_r = is_filling(pair.right, reps[0], config.scc_word_bound)[0]
+        else:
+            fill_l = fill_r = "skipped"
+        columns.append({
+            "nonconjugate": all(check_nonconjugate(pair)),
+            "filling_left": fill_l,
+            "filling_right": fill_r,
+        })
+        symbolic.append(check_equal_length_symbolic(pair))
     rows = []
-    witness = None
-    all_equal = True
-    symbolic_ok = True
     max_dev_overall = 0.0
     for rep in reps:
-        factory, witness = _build_pair_factory(config, rep)
-        for n in range(lo, hi + 1):
-            pair = factory(n)
+        for pair, cols in zip(pairs, columns):
             tau_l = translation_length(rep.evaluate(pair.left))
             tau_r = translation_length(rep.evaluate(pair.right))
             rel = abs(tau_l - tau_r) / max(tau_l, tau_r)
             max_dev_overall = max(max_dev_overall, rel)
-            if rel > config.tol:
-                all_equal = False
-            if not check_equal_length_symbolic(pair, [rep], config.tol):
-                symbolic_ok = False
-            nonconj, not_inv = check_nonconjugate(pair)
-            if config.scc_word_bound is not None:
-                fill_l = is_filling(pair.left, rep, config.scc_word_bound)[0]
-                fill_r = is_filling(pair.right, rep, config.scc_word_bound)[0]
-            else:
-                fill_l = fill_r = "skipped"
-            rows.append({
-                "seed": rep.seed,
-                "n": n,
-                "tau_left": round9(tau_l),
-                "tau_right": round9(tau_r),
-                "rel_dev": round9(rel),
-                "nonconjugate": nonconj and not_inv,
-                "filling_left": fill_l,
-                "filling_right": fill_r,
-            })
+            rows.append(dict(
+                seed=rep.seed, n=pair.n, tau_left=round9(tau_l), tau_right=round9(tau_r),
+                rel_dev=round9(rel), **cols,
+            ))
+    all_equal = max_dev_overall <= config.tol
+    symbolic_ok = all(symbolic)
     return {
         "witness": witness,
         "rows": rows,
@@ -346,16 +353,10 @@ def _task_verify(config: RunConfig) -> dict:
 def _task_filling(config: RunConfig) -> dict:
     (w,) = _need(config, "w|alpha")
     bound = config.scc_word_bound if config.scc_word_bound is not None else 4
-    entries = []
-    for rep in _reps(config):
-        verdict, witnesses, table = is_filling(w, rep, bound)
-        entries.append({
-            "seed": rep.seed,
-            "verdict": verdict,
-            "witnesses": [str(z) for z in witnesses],
-            "candidates": table,
-        })
-    return {"word": str(w), "scc_word_bound": bound, "per_seed": entries}
+    reps = _reps(config)
+    verdict, witnesses, table = is_filling(w, reps[0], bound)
+    body = {"verdict": verdict, "witnesses": [str(z) for z in witnesses], "candidates": table}
+    return {"word": str(w), "scc_word_bound": bound, "per_seed": _per_seed(reps, body)}
 
 
 _DISPATCH = {
@@ -371,6 +372,7 @@ _DISPATCH = {
 
 def run(config: RunConfig) -> Report:
     started = time.perf_counter()
+    _check_trace_bound(config.task, config.n_range)  # the task may be set after from_dict
     payload = _DISPATCH[config.task](config)
     report = Report(
         config=config.echo(),

@@ -15,14 +15,7 @@ import pytest
 from lenequiv.bracket import bracket, bracket_self, bracket_self_terms
 from lenequiv.fuchsian import sample_representation
 from lenequiv.intersections import cyclic_order, exact_count, exact_intersections
-from lenequiv.pipeline import (
-    build_pair_self,
-    check_equal_length,
-    check_nonconjugate,
-    find_min_N,
-    is_filling,
-    verify_filling_pairs,
-)
+from lenequiv.pipeline import check_nonconjugate, find_min_N, is_filling
 from lenequiv.reports import RunConfig, emit, run
 from lenequiv.sl2 import axis, crossing_angle, hyperbolic_cosine_rule, translation_length
 from lenequiv.trace_poly import verify_trace_identity
@@ -63,15 +56,16 @@ def test_acceptance_1_exact_trace_identity(capsys):
     verdict(capsys, 1, all(holds) and elapsed < 5.0)
 
 
-def test_acceptance_2_equal_length_over_100_representations(capsys, fig8):
-    alpha, record = fig8
+def test_acceptance_2_equal_length_over_100_representations(capsys):
+    cfg_data = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": "verify",
+        "words": {"alpha": "ab"},
+        "seeds": list(range(100)),
+        "n_range": [1, 10],
+    }
     t0 = time.perf_counter()
-    reps = [sample_representation(PANTS, seed) for seed in range(100)]
-    max_dev = 0.0
-    for n in range(1, 11):
-        pair = build_pair_self(alpha, record, n)
-        _, dev = check_equal_length(pair, reps, tol=1e-9)
-        max_dev = max(max_dev, dev)
+    max_dev = run(RunConfig.from_dict(cfg_data)).payload["max_rel_dev"]
     elapsed = time.perf_counter() - t0
     verdict(capsys, 2, max_dev <= 1e-9 and elapsed < 30.0)
 
@@ -98,7 +92,7 @@ def test_acceptance_3_cosine_rule_cross_check(capsys, fig8):
 
 def test_acceptance_4_finite_nonconjugacy_threshold(capsys, fig8):
     alpha, record = fig8
-    n_observed, table = find_min_N(alpha, record, 50)
+    n_observed, table = find_min_N(alpha, record.witness, 50)
     finite = n_observed is not None
     clean_tail = all(nc and ni for (n, nc, ni) in table if finite and n > n_observed)
     # metric independence is structural: the verdict consumes no representation
@@ -152,10 +146,17 @@ def test_acceptance_6_stabilized_counts_scale_linearly(capsys, torus_rep, pants_
 
 
 def test_acceptance_7_filling_propagates(capsys, fig8, pants_rep, torus_rep):
-    alpha, record = fig8
+    alpha, _ = fig8
     base_verdict, _, _ = is_filling(alpha, pants_rep, 4)
     ok = base_verdict == "yes"
-    rows = verify_filling_pairs(alpha, record, (2, 8), pants_rep, scc_word_bound=4)["rows"]
+    cfg_data = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": "verify",
+        "words": {"alpha": str(alpha)},
+        "n_range": [2, 8],
+        "scc_word_bound": 4,
+    }
+    rows = run(RunConfig.from_dict(cfg_data)).payload["rows"]
     ok = ok and [r["n"] for r in rows] == list(range(2, 9))
     ok = ok and all(r["filling_left"] == "yes" and r["filling_right"] == "yes" for r in rows)
     # negative control: a simple curve never fills, and the verdict says why

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import lenequiv
-from lenequiv import cli
-from lenequiv.reports import RunConfig, emit, run
+from lenequiv import cli, reports
+from lenequiv.pipeline import CurvePair
+from lenequiv.reports import TRACE_N_MAX, RunConfig, emit, run
+from lenequiv.word_algebra import compose, parse_word
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -135,18 +137,48 @@ def test_hypothesis_violation_exits_4(tmp_path, capsys):
 
 
 def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
+    # negative control: a scrambled right member has a different length
+    build = reports.build_pair_self
+
+    def scrambled(alpha, g, n):
+        good = build(alpha, g, n)
+        return CurvePair(good.left, compose(good.right, parse_word("b")), n, good.provenance)
+
+    monkeypatch.setattr(reports, "build_pair_self", scrambled)
     cfg_data = {
         "surface": {"genus": 0, "boundary_components": 3},
         "task": "verify",
         "words": {"alpha": "ab"},
-        "n_range": [1, 1],
+        "seeds": [0, 1, 2, 3, 4],
+        "n_range": [2, 2],
     }
-    report = run(RunConfig.from_dict(cfg_data))
-    report.payload["ok"] = False
-    monkeypatch.setattr(cli, "run", lambda config: report)
+    p = run(RunConfig.from_dict(cfg_data)).payload
+    assert p["equal_length_all"] is False and p["ok"] is False
+    assert p["max_rel_dev"] > 1e-3
     path = write_config(tmp_path, cfg_data)
     assert cli.main(["run", path]) == 4
     assert "exceed tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["trace-id", "verify"])
+def test_n_range_past_the_trace_bound_exits_2(task, tmp_path, capfd):
+    # a^n b past the bound would end in a RecursionError traceback
+    cfg = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": task,
+        "words": {"alpha": "ab"},
+        "n_range": [1, 1000],
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "config error: task %r takes n_range up to %d, got 1000\n" % (task, TRACE_N_MAX)
+    assert TRACE_N_MAX >= 400  # the benchmark's trace-id run reaches n = 400
+    RunConfig.from_dict(dict(cfg, n_range=[1, TRACE_N_MAX]))
+    # the bound holds when the task comes from the command line too
+    path = write_config(tmp_path, dict(cfg, task="pairs"), name="pairs.json")
+    assert cli.main(["run", path, "--task", task]) == 2
+    assert "takes n_range up to" in capfd.readouterr().err
 
 
 def run_module(args, **kwargs):

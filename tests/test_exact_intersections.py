@@ -96,11 +96,16 @@ def test_rank_three_four_holed_sphere():
     assert exact_count(w("abc"), w("abc"), cyclic_order(rep)) > 0
 
 
-def test_cyclic_order_of_the_layouts(pants_rep, torus_rep):
-    assert cyclic_order(pants_rep) == (1, -1, -2, 2)  # a A B b
-    assert cyclic_order(torus_rep) == (-2, -1, 2, 1)  # B A b a
-    for seed in (1, 2):
-        assert cyclic_order(sample_representation(PANTS, seed)) == cyclic_order(pants_rep)
+def test_cyclic_order_of_the_layouts():
+    # the report layer computes each exact answer once, from the first seed
+    layouts = [
+        (PANTS, range(10), (1, -1, -2, 2)),  # a A B b
+        (TORUS, range(10), (-2, -1, 2, 1)),  # B A b a
+        (FOUR_HOLED, range(3), (1, -1, -2, 2, -3, 3)),  # a A B b C c
+    ]
+    for surface, seeds, order in layouts:
+        for seed in seeds:
+            assert cyclic_order(sample_representation(surface, seed)) == order, (surface, seed)
 
 
 # --------------------------------------------------------------- K2 and K4

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lenequiv import __version__, cli
+from lenequiv import __version__, cli, reports
 from lenequiv.errors import ConfigError
 from lenequiv.reports import Report, RunConfig, emit, load_config, round9, run
 
@@ -212,21 +212,54 @@ def test_bracket_self_payload():
     assert entry["folded"] == [] and entry["is_zero"] is True
 
 
-def test_bracket_self_walks_once_per_seed(monkeypatch):
-    walks = []
-    walk = bracket_module.exact_intersections
+@pytest.mark.parametrize(
+    "task, words, module, name",
+    [
+        ("bracket", {"alpha": "ab", "beta": "aabb"}, bracket_module, "exact_intersections"),
+        ("bracket-self", {"alpha": "aabab"}, bracket_module, "exact_intersections"),
+        ("pairs", {"alpha": "aabab"}, reports, "exact_intersections"),
+        ("filling", {"w": "aabb"}, reports, "is_filling"),
+    ],
+    ids=["bracket", "bracket-self", "pairs", "filling"],
+)
+def test_exact_answer_computed_once_per_run(task, words, module, name, monkeypatch):
+    # the answer reads only the cyclic order, which every seed shares
+    calls = []
+    exact = getattr(module, name)
 
     def counted(*args):
-        walks.append(args)
-        return walk(*args)
+        calls.append(args)
+        return exact(*args)
 
-    monkeypatch.setattr(bracket_module, "exact_intersections", counted)
+    monkeypatch.setattr(module, name, counted)
     cfg = RunConfig.from_dict(
-        {"surface": PANTS_SURFACE, "task": "bracket-self", "words": {"alpha": "aabab"}, "seeds": [0, 1]}
+        {"surface": PANTS_SURFACE, "task": task, "words": words, "seeds": [0, 1, 2], "n_range": [1, 3]}
     )
     entries = run(cfg).payload["per_seed"]
-    assert len(walks) == 2
-    assert all(entry["is_zero"] and entry["pre_cancellation"] for entry in entries)
+    assert len(calls) == 1
+    assert [entry["seed"] for entry in entries] == [0, 1, 2]
+    bodies = [{k: v for k, v in entry.items() if k != "seed"} for entry in entries]
+    assert bodies[0] and bodies[1:] == bodies[:1] * 2
+
+
+def test_verify_exact_columns_computed_once_per_n(monkeypatch):
+    calls = {name: 0 for name in ("check_nonconjugate", "check_equal_length_symbolic", "is_filling")}
+    for name in calls:
+        exact = getattr(reports, name)
+
+        def counted(*args, name=name, exact=exact):
+            calls[name] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(reports, name, counted)
+    cfg = RunConfig.from_dict({
+        "surface": PANTS_SURFACE, "task": "verify", "words": {"alpha": "ab"},
+        "seeds": [0, 1, 2], "n_range": [2, 4], "scc_word_bound": 3,
+    })
+    rows = run(cfg).payload["rows"]
+    assert len(rows) == 9  # 3 seeds x 3 exponents
+    assert calls == {"check_nonconjugate": 3, "check_equal_length_symbolic": 3, "is_filling": 6}
+    assert len({row["tau_left"] for row in rows if row["n"] == 2}) == 3  # lengths stay per seed
 
 
 def test_pairs_payload():

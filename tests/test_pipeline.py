@@ -110,6 +110,12 @@ def test_equal_length_numeric_and_symbolic(fig8_witness, pants_reps):
         assert check_equal_length_symbolic(pair)
 
 
+def test_equal_length_detects_scrambled_pair(fig8_witness, pants_reps):
+    good = build_pair_self(w("ab"), fig8_witness, 2)
+    bad = CurvePair(good.left, compose(good.right, w("b")), 2, good.provenance)
+    assert max(rel_dev(bad, rep) for rep in pants_reps) > 1e-3
+
+
 def test_symbolic_check_rejects_nonconjugate_terms():
     # terms <ab aab> and <ab aab^a> are different classes, so the pair is
     # not on the equal-trace locus the identity needs

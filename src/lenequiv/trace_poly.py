@@ -10,37 +10,87 @@ classical rewriting rules:
     tr(w)      = tr of any cyclic rotation, and tr(w) = tr(w^-1)
 
 Each step strictly decreases (letter count, inverse-letter count) in
-lexicographic order, so the reduction terminates.  Results are memoized
-once per unoriented conjugacy class (w and w^-1 have the same polynomial),
-keyed on the text of the cyclic normal form of whichever of the two was
-computed first.  A lookup takes any freely reduced spelling and first tries
-the spelling's own text: every key is the text of a canonical word, so a
-spelling equal to a key is that word and the hit costs one text key.  Only a
-miss computes the cyclic normal form to try the class's key, and then
-normalizes the inverse to try the key of the other orientation.
+lexicographic order, so the reduction terminates.  The recursion runs on
+the text of a word ("aB" for a b^-1): trace_polynomial converts the Word
+once, the inverse of a spelling s is s[::-1].swapcase(), and the first
+inverse letter and the first doubled letter are found by str.find.
+
+Results are memoized once per unoriented conjugacy class (w and w^-1 have
+the same polynomial), keyed on the text of the cyclic normal form of
+whichever of the two was computed first.  A lookup takes any freely reduced
+spelling and first tries the spelling's own text: every key is the text of
+a canonical word, so a spelling equal to a key is that word and the hit
+costs one text key.  Only a miss computes the cyclic normal form to try the
+class's key, and then normalizes the inverse to try the key of the other
+orientation.
+
+A polynomial stores each monomial x^i y^j z^k under one int that packs the
+fields (i + j + k, j, k), the degree above the j and k fields: the product
+of two monomials is the sum of their keys, and y := x clears the j field.
+Degrees up to 1023 fit; a product past that raises ValueError.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import UnsupportedRankError
-from .word_algebra import Word, cyclic_normal_form, invert, junction_product, letters_to_str
+from .word_algebra import _RANK_TEXT, Word, _least_rotation, letters_to_str
 
 _VAR_NAMES = ("x", "y", "z")
+_RANK_TWO_LETTERS = frozenset((1, -1, 2, -2))
+
+# Width of each field of a packed key.  The key of x^i y^j z^k is
+# d << 2W | j << W | k with d = i + j + k, so j and k never exceed d, no
+# field carries while d <= _FIELD, and every key then fits one 30-bit digit
+# of a Python int.  The largest key of a polynomial holds its degree.
+_BITS = 10
+_FIELD = (1 << _BITS) - 1
+_CLEAR_Y = ~(_FIELD << _BITS)
+
+
+def _pack(expo: tuple[int, int, int]) -> int:
+    i, j, k = expo
+    d = i + j + k
+    if min(expo) < 0 or d > _FIELD:
+        raise ValueError("exponents %r: degree outside [0, %d]" % (expo, _FIELD))
+    return d << 2 * _BITS | j << _BITS | k
+
+
+def _unpack(key: int) -> tuple[int, int, int]:
+    j, k = key >> _BITS & _FIELD, key & _FIELD
+    return (key >> 2 * _BITS) - j - k, j, k
+
+
+def _check_degree(p: "TracePolynomial", q: "TracePolynomial") -> None:
+    """Refuse a product of degree past _FIELD, which packed keys cannot hold."""
+    if (max(p._terms, default=0) >> 2 * _BITS) + (max(q._terms, default=0) >> 2 * _BITS) > _FIELD:
+        raise ValueError("polynomial degree past %d" % _FIELD)
 
 
 class TracePolynomial:
-    """Sparse integer polynomial in (x, y, z); keys are exponent triples."""
+    """Sparse integer polynomial in (x, y, z).
 
-    __slots__ = ("terms",)
+    Built from a mapping {(i, j, k): coefficient}; `terms` is a read-only
+    view in that form.  Arithmetic runs on the packed keys.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        # A mapping has one coefficient per exponent: only zeros are dropped.
-        # c + 0 stores a fresh int sized to its value: a coefficient left by
-        # a cancelling sum keeps the allocation of its largest operand, and
-        # memoized polynomials live as long as the process.
-        self.terms: dict[tuple[int, int, int], int] = (
-            {e: c + 0 for e, c in terms.items() if c} if terms else {}
-        )
+        # packed key -> coefficient; a coefficient is never zero
+        self._terms: dict[int, int] = {_pack(e): c for e, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, packed: dict[int, int]) -> "TracePolynomial":
+        """The polynomial of a packed mapping with no zero coefficient."""
+        out = cls.__new__(cls)
+        out._terms = packed
+        return out
+
+    @property
+    def terms(self):
+        return MappingProxyType({_unpack(e): c for e, c in self._terms.items()})
 
     @classmethod
     def constant(cls, c: int) -> "TracePolynomial":
@@ -53,66 +103,79 @@ class TracePolynomial:
         return cls({tuple(expo): 1})
 
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, 0) + coeff
-        return TracePolynomial(out)
+        out = self._terms.copy()
+        get = out.get
+        for e, c in other._terms.items():
+            c += get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return TracePolynomial._of(out)
 
     def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, 0) - coeff
-        return TracePolynomial(out)
+        out = self._terms.copy()
+        get = out.get
+        for e, c in other._terms.items():
+            c = get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return TracePolynomial._of(out)
 
     def __neg__(self) -> "TracePolynomial":
-        return TracePolynomial({e: -c for e, c in self.terms.items()})
+        return TracePolynomial._of({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other) -> "TracePolynomial":
         if isinstance(other, int):
-            return TracePolynomial({e: c * other for e, c in self.terms.items()})
-        mono, poly = (self, other) if len(self.terms) == 1 else (other, self)
-        if len(mono.terms) == 1:
-            # a monomial shifts exponents one-to-one: nothing to sum, and no
+            if not other:
+                return TracePolynomial()
+            return TracePolynomial._of({e: c * other for e, c in self._terms.items()})
+        _check_degree(self, other)
+        mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
+        if len(mono._terms) == 1:
+            # a monomial shifts keys one-to-one: nothing to sum, and no
             # product of nonzero coefficients is zero
-            ((m0, m1, m2), m), = mono.terms.items()
-            out = TracePolynomial()
-            out.terms = {(e[0] + m0, e[1] + m1, e[2] + m2): c * m for e, c in poly.terms.items()}
-            return out
-        out: dict[tuple[int, int, int], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[expo] = out.get(expo, 0) + c1 * c2
-        return TracePolynomial(out)
+            ((m, cm),) = mono._terms.items()
+            return TracePolynomial._of({e + m: c * cm for e, c in poly._terms.items()})
+        out: dict[int, int] = {}
+        get = out.get
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return TracePolynomial._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TracePolynomial) and self.terms == other.terms
+        return isinstance(other, TracePolynomial) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def evaluate(self, x: float, y: float, z: float) -> float:
         return sum(c * x**i * y**j * z**k for (i, j, k), c in self.terms.items())
 
     def specialize_equal_traces(self) -> "TracePolynomial":
         """Substitute y := x (the locus where tr A = tr B)."""
-        out: dict[tuple[int, int, int], int] = {}
-        for (i, j, k), c in self.terms.items():
-            expo = (i + j, 0, k)
-            out[expo] = out.get(expo, 0) + c
-        return TracePolynomial(out)
+        out: dict[int, int] = {}
+        get = out.get
+        for e, c in self._terms.items():
+            e &= _CLEAR_Y  # x^i y^j z^k -> x^(i+j) z^k, of the same degree
+            out[e] = get(e, 0) + c
+        return TracePolynomial._of({e: c for e, c in out.items() if c})
 
     def sorted_terms(self):
         # graded lex, highest first
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for expo, coeff in self.sorted_terms():
@@ -158,52 +221,70 @@ def chebyshev_power(n: int, variable_index: int = 0) -> TracePolynomial:
 
 def trace_polynomial(w: Word) -> TracePolynomial:
     """The Fricke polynomial of a word over the two-letter alphabet {a, b}."""
-    for letter in w.letters:
-        if abs(letter) > 2:
-            raise UnsupportedRankError("trace coordinates implemented for rank 2 only")
-    return _tr(w.letters)
+    if not _RANK_TWO_LETTERS.issuperset(w.letters):
+        raise UnsupportedRankError("trace coordinates implemented for rank 2 only")
+    return _tr(letters_to_str(w.letters))
 
 
-def _tr(letters: tuple[int, ...]) -> TracePolynomial:
-    """Fricke polynomial of any freely reduced spelling of a class."""
-    if len(letters) > 1:  # shorter spellings are already canonical
-        hit = _memo.get(letters_to_str(letters))
+def _find_first(s: str, p: str, q: str) -> int:
+    """Index of the first occurrence of p or of q in s, or -1."""
+    i, j = s.find(p), s.find(q)
+    return j if i < 0 or 0 <= j < i else i
+
+
+def _cyclic_normal_text(s: str) -> str:
+    """Text of the cyclic normal form of the word s, as
+    word_algebra.cyclic_normal_form: cyclically reduce, then rotate to the
+    least rotation under a < A < b < B."""
+    i, j = 0, len(s)
+    while j - i >= 2 and s[i] == s[j - 1].swapcase():
+        i += 1
+        j -= 1
+    s = s[i:j]
+    if not s:
+        return s
+    k = _least_rotation(s.translate(_RANK_TEXT))
+    return s[k:] + s[:k]
+
+
+def _tr(s: str) -> TracePolynomial:
+    """Fricke polynomial of the text of any freely reduced spelling of a class."""
+    if len(s) > 1:  # shorter spellings are already canonical
+        hit = _memo.get(s)
         if hit is not None:  # the spelling is literally a memoized canonical word
             return hit
-        letters = cyclic_normal_form(Word(letters)).letters
-    n = len(letters)
+        s = _cyclic_normal_text(s)
+    n = len(s)
     if n == 0:
         return _TWO
     if n == 1:
-        return _X if abs(letters[0]) == 1 else _Y
-    key = letters_to_str(letters)
-    hit = _memo.get(key)
+        return _X if s in "aA" else _Y
+    hit = _memo.get(s)
     if hit is not None:
         return hit
     # one entry per unoriented class, under whichever of w, w^-1 came first
-    inverse_key = cyclic_normal_form(invert(Word(letters))).key
+    inverse_key = _cyclic_normal_text(s[::-1].swapcase())
     hit = _memo.get(inverse_key)
     if hit is not None:
         return hit
 
-    out = None
-    neg = next((i for i, x in enumerate(letters) if x < 0), None)
-    if neg is not None:
+    neg = _find_first(s, "A", "B")
+    if neg >= 0:
         # rotate the inverse letter to the end: w ~ U v^-1
-        rot = letters[neg + 1 :] + letters[: neg + 1]
-        u = rot[:-1]
-        v = (-rot[-1],)
-        out = _tr(u) * _tr(v) - _tr(junction_product(u, v))
+        rot = s[neg + 1 :] + s[: neg + 1]
+        u, v = rot[:-1], rot[-1].lower()
+        # U v cancels at the junction when U also ends in v^-1
+        out = _tr(u) * _tr(v) - _tr(u[:-1] if u[-1] == rot[-1] else u + v)
     else:
-        dbl = next((i for i in range(n) if letters[i] == letters[(i + 1) % n]), None)
-        if dbl is not None:
-            rot = letters[dbl:] + letters[:dbl]  # starts with a doubled letter
-            out = _tr(rot[:1]) * _tr(rot[1:]) - _tr(rot[2:])
+        dbl = _find_first(s + s[0], "aa", "bb")
+        if dbl >= 0:
+            rot = s[dbl:] + s[:dbl]  # starts with a doubled letter
+            out = _tr(rot[0]) * _tr(rot[1:]) - _tr(rot[2:])
         else:
             # positive, no doubled letter (cyclically): alternating (ab)^m
             out = chebyshev_power(n // 2, 2)
     if inverse_key not in _memo:  # the recursion can reach w^-1 (w = AB: ab)
-        _memo[key] = out
+        _memo[s] = out
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 import lenequiv
 from lenequiv import cli, reports
 from lenequiv.pipeline import CurvePair
-from lenequiv.reports import TRACE_N_MAX, RunConfig, emit, run
+from lenequiv.reports import SCC_WORD_BOUND_MAX, TRACE_N_MAX, RunConfig, emit, run
 from lenequiv.word_algebra import compose, parse_word
 
 
@@ -179,6 +179,25 @@ def test_n_range_past_the_trace_bound_exits_2(task, tmp_path, capfd):
     path = write_config(tmp_path, dict(cfg, task="pairs"), name="pairs.json")
     assert cli.main(["run", path, "--task", task]) == 2
     assert "takes n_range up to" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["filling", "verify"])
+def test_scc_word_bound_past_the_cap_exits_2(task, tmp_path, capfd):
+    # the simple-class scan triples its cost per letter of the bound
+    cfg = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": task,
+        "words": {"w": "aabb", "alpha": "ab"},
+        "n_range": [1, 2],
+        "scc_word_bound": SCC_WORD_BOUND_MAX + 1,
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "config error: scc_word_bound must lie in [1, %d], got %d\n" % (
+        SCC_WORD_BOUND_MAX, SCC_WORD_BOUND_MAX + 1)
+    assert SCC_WORD_BOUND_MAX >= 4  # tests and goldens run filling at up to 4
+    RunConfig.from_dict(dict(cfg, scc_word_bound=SCC_WORD_BOUND_MAX))
 
 
 def run_module(args, **kwargs):

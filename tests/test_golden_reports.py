@@ -18,13 +18,17 @@ and the `word_bound` config field was dropped: each is the digest of the
 earlier report with `config.word_bound` deleted, dumped again with
 sort_keys=True and indent=2.  No text or csv digest changed, and
 bracket-self-pants-k2, pinned at bound 8 before, keeps its records.
+The trace-id run at n_range [1, 500] prints Fricke polynomials of degree
+501, the largest the CLI accepts; its digests were taken before the
+polynomials moved onto packed exponent keys and the recursion onto word
+text.
 """
 
 import hashlib
 
 import pytest
 
-from lenequiv.reports import RunConfig, emit, run
+from lenequiv.reports import TRACE_N_MAX, RunConfig, emit, run
 
 PANTS = {"genus": 0, "boundary_components": 3}
 TORUS = {"genus": 1, "boundary_components": 1}
@@ -51,6 +55,7 @@ CONFIGS = {
         PANTS, "verify", {"alpha": "ab", "beta": "aab", "g": "a", "h": "b"}, n_range=[2, 4]
     ),
     "trace-id-torus": config(TORUS, "trace-id", {}, n_range=[1, 60]),
+    "trace-id-torus-n500": config(TORUS, "trace-id", {}, n_range=[1, TRACE_N_MAX]),
 }
 
 GOLDEN = {
@@ -123,6 +128,11 @@ GOLDEN = {
         "json": "b90052956bc122d3ee89626ebc65a69eaf794cd14b275110b1c020bb5d9a7df1",
         "text": "8c4e68eed5723fda061dbe14f4210cb3984a67efea1c5c5395f9e3c2aaf9a857",
         "csv": "b8330b97e5a7b97b78d9984ed3e80eb5ed6cc366fb7213f3039b45569cefe1d2",
+    },
+    "trace-id-torus-n500": {
+        "json": "f1e807d4cd3f6e322c5efd89803cf8c62e6892b28b418611632a172390ca79c9",
+        "text": "88e0b5ca38ee1a23e78685fc4019268fe5947ccbf3d3d87acf8575c41c8ca628",
+        "csv": "811680e21770090a46309e61068d755f080220019d88fc5cf225958d33a66d7f",
     },
 }
 

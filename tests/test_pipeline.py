@@ -6,10 +6,13 @@ The word-level identity behind the self family is tested as a property:
 power-product trace identity, not a numerical accident.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sl2z
 from lenequiv.errors import DegenerateInputError, HypothesisViolationError
 from lenequiv.intersections import cyclic_order, exact_intersections
 from lenequiv.pipeline import (
@@ -114,6 +117,40 @@ def test_equal_length_detects_scrambled_pair(fig8_witness, pants_reps):
     good = build_pair_self(w("ab"), fig8_witness, 2)
     bad = CurvePair(good.left, compose(good.right, w("b")), 2, good.provenance)
     assert max(rel_dev(bad, rep) for rep in pants_reps) > 1e-3
+
+
+def _exact_pairs(pants_rep):
+    """Self pairs of ab and aBABAb at every witness and the general pair of
+    (ab, aab, a, b), each at n = 2..6."""
+    order = cyclic_order(pants_rep)
+    pairs = []
+    for text in ("ab", "aBABAb"):
+        alpha = w(text)
+        for rec in exact_intersections(alpha, alpha, order):
+            pairs += [build_pair_self(alpha, rec.witness, n) for n in range(2, 7)]
+    pairs += [build_pair_general(w("ab"), w("aab"), w("a"), w("b"), n) for n in range(2, 7)]
+    return pairs
+
+
+def test_pairs_have_equal_exact_traces_at_integer_points(pants_rep):
+    # Schwartz-Zippel: tr left - tr right is an integer polynomial in the
+    # entries of A and B, so vanishing at random SL2(Z) pairs is evidence
+    # of the identity that reads neither the Fricke polynomials nor floats
+    rng = random.Random(0)
+    points = [sl2z.random_pair(rng) for _ in range(6)]
+    pairs = _exact_pairs(pants_rep)
+    assert len(pairs) == 5 * (1 + 7 + 1)  # aBABAb has seven self records
+    for pair in pairs:
+        for a, b in points:
+            left = sl2z.trace(pair.left.letters, a, b)
+            assert left == sl2z.trace(pair.right.letters, a, b), (pair, a, b)
+    # negative control: a scrambled pair differs at some point
+    good = pairs[0]
+    bad = CurvePair(good.left, compose(good.right, w("b")), good.n, good.provenance)
+    assert any(
+        sl2z.trace(bad.left.letters, a, b) != sl2z.trace(bad.right.letters, a, b)
+        for a, b in points
+    )
 
 
 def test_symbolic_check_rejects_nonconjugate_terms():

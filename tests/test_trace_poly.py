@@ -3,15 +3,18 @@
 The load-bearing oracles evaluate the Fricke polynomial at (tr A, tr B,
 tr AB) and compare it with the trace of the evaluated matrix word: at
 random unit-determinant float matrix pairs for short words, and exactly, in
-integers, at random SL2(Z) pairs for words of up to 24 letters.
+integers, at random SL2(Z) pairs for words of up to 24 letters and for
+words of 100 and 501 letters.
 """
 
-import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sl2z
 from lenequiv import trace_poly
 from lenequiv.errors import UnsupportedRankError
 from lenequiv.sl2 import Mat2, evaluate
@@ -41,6 +44,8 @@ def test_polynomial_ring_basics():
     assert (-(X - two)).terms == {(1, 0, 0): -1, (0, 0, 0): 2}
     assert X * X * X == TracePolynomial({(3, 0, 0): 1})
     assert TracePolynomial({(0, 0, 0): 0}).is_zero()  # zero coeffs pruned
+    with pytest.raises(TypeError):
+        (X * Y).terms[(1, 0, 0)] = 2  # terms is a read-only view
 
 
 def test_polynomial_eq_and_hash():
@@ -155,29 +160,12 @@ def test_fricke_polynomial_matches_matrix_trace(letters, params):
 # ------------------------------------------------------ the exact oracle
 
 
-def _int_mul(m, k):
-    return (m[0] * k[0] + m[1] * k[2], m[0] * k[1] + m[1] * k[3],
-            m[2] * k[0] + m[3] * k[2], m[2] * k[1] + m[3] * k[3])
+shear_st = st.sampled_from(sl2z.SHEARS)
 
 
-def _int_shears(p, q):
-    """[[1, p], [0, 1]] [[1, 0], [q, 1]]: an integer matrix of determinant 1."""
-    return (1 + p * q, p, q, 1)
-
-
-def _int_inverse(m):
-    return (m[3], -m[1], -m[2], m[0])  # determinant 1
-
-
-def _int_trace(letters, a, b):
-    gens = {1: a, -1: _int_inverse(a), 2: b, -2: _int_inverse(b)}
-    out = (1, 0, 0, 1)
-    for x in letters:
-        out = _int_mul(out, gens[x])
-    return out[0] + out[3]
-
-
-shear_st = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+def _at_point(a, b):
+    """The Fricke coordinates (tr A, tr B, tr AB) of an integer pair."""
+    return a[0] + a[3], b[0] + b[3], sl2z.trace((1, 2), a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,12 +175,11 @@ shear_st = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 )
 def test_fricke_polynomial_matches_exact_integer_trace(letters, shears):
     p1, q1, p2, q2, p3, q3 = shears
-    a = _int_shears(p1, q1)
-    b = _int_mul(_int_shears(p2, q2), _int_shears(p3, q3))
-    x, y, z = a[0] + a[3], b[0] + b[3], _int_trace((1, 2), a, b)
+    a = sl2z.shears(p1, q1)
+    b = sl2z.mul(sl2z.shears(p2, q2), sl2z.shears(p3, q3))
     w = free_reduce(letters)
     p = trace_polynomial(w)
-    assert p.evaluate(x, y, z) == _int_trace(w.letters, a, b)
+    assert p.evaluate(*_at_point(a, b)) == sl2z.trace(w.letters, a, b)
     # one memo entry per unoriented class: rotations and the inverse hit it
     size = len(trace_poly._memo)
     rotated = free_reduce(w.letters[1:] + w.letters[:1])
@@ -200,6 +187,51 @@ def test_fricke_polynomial_matches_exact_integer_trace(letters, shears):
     assert trace_polynomial(invert(w)) == p
     assert trace_polynomial(w) == p
     assert len(trace_poly._memo) == size
+
+
+# a^500 b and b^500 a reach degree 501, the largest the CLI's n_range allows;
+# the commutator of powers mixes all four letters
+LONG_WORDS = ["a" * 500 + "b", "b" * 500 + "a", "a" * 30 + "B" * 20 + "A" * 30 + "b" * 20]
+
+
+@pytest.mark.parametrize("text", LONG_WORDS, ids=["a500b", "b500a", "commutator"])
+def test_long_word_polynomial_matches_exact_integer_trace(text):
+    w = parse_word(text)
+    p = trace_polynomial(w)
+    assert TracePolynomial(p.terms) == p
+    rng = random.Random(text)
+    for _ in range(4):
+        a, b = sl2z.random_pair(rng)
+        assert p.evaluate(*_at_point(a, b)) == sl2z.trace(w.letters, a, b)
+
+
+def test_long_powers_fit_the_default_recursion_limit(monkeypatch):
+    # from a cold memo a^500 b takes one _tr frame per letter peeled, about
+    # 500 in all: a second frame per level would pass CPython's default 1000
+    monkeypatch.setattr(trace_poly, "_memo", {})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for text in LONG_WORDS[:2]:
+            trace_poly._memo.clear()
+            assert not trace_polynomial(parse_word(text)).is_zero()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_degrees_past_the_packed_fields_are_refused():
+    top = trace_poly._FIELD  # 1023
+    assert chebyshev_power(top, variable_index=2).terms[(0, 0, top)] == 1
+    with pytest.raises(ValueError):
+        chebyshev_power(top + 1, variable_index=2)
+    with pytest.raises(ValueError):
+        TracePolynomial({(0, top, 0): 1}) * Y
+    with pytest.raises(ValueError):
+        trace_polynomial(Word((1, 2) * (top + 1)))  # (ab)^1024 has degree 1024
+    with pytest.raises(ValueError):
+        TracePolynomial({(0, top + 1, 0): 1})
+    with pytest.raises(ValueError):
+        TracePolynomial({(-1, 0, 0): 1})
 
 
 def test_memo_keeps_one_entry_per_unoriented_class():
@@ -227,7 +259,7 @@ def test_every_spelling_of_a_class_hits_its_memo_entry(text, monkeypatch):
     assert len(trace_poly._memo) == size
     # the key's own spelling is found by its text, with no normal form computed
     calls = []
-    monkeypatch.setattr(trace_poly, "cyclic_normal_form", lambda u: calls.append(u))
+    monkeypatch.setattr(trace_poly, "_cyclic_normal_text", lambda s: calls.append(s))
     assert trace_polynomial(parse_word(key)) is p
     assert calls == []
 

@@ -46,8 +46,9 @@ from .sl2 import (
     hyperbolic_cosine_rule,
     mobius,
     translation_length,
+    word_translation_length,
 )
-from .trace_poly import TracePolynomial, chebyshev_power, trace_polynomial, verify_trace_identity
+from .trace_poly import TracePolynomial, chebyshev_power, trace_identity, trace_polynomial
 from .fuchsian import (
     PingPongCertificate,
     Representation,
@@ -111,11 +112,12 @@ __all__ = [
     "hyperbolic_cosine_rule",
     "mobius",
     "translation_length",
+    "word_translation_length",
     # trace_poly
     "TracePolynomial",
     "chebyshev_power",
+    "trace_identity",
     "trace_polynomial",
-    "verify_trace_identity",
     # fuchsian
     "PingPongCertificate",
     "Representation",

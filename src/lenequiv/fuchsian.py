@@ -114,8 +114,8 @@ class PingPongCertificate:
 
 
 class Representation:
-    """Generator matrices for a surface group, with caches for word
-    evaluation and balls of group elements."""
+    """Generator matrices for a surface group, with a cache for balls of
+    group elements."""
 
     def __init__(self, surface, matrices, seed=None, spread=None, certificate=None, layout=None):
         self.surface = surface
@@ -124,7 +124,6 @@ class Representation:
         self.spread = spread
         self.certificate = certificate
         self.layout = layout  # (tag, axis endpoints, translation params)
-        self._eval_cache: dict[tuple[int, ...], Mat2] = {}
         self._signed_gen: dict[int, Mat2] = {}
         for i, m in enumerate(self.matrices, start=1):
             self._signed_gen[i] = m
@@ -138,11 +137,7 @@ class Representation:
         return len(self.matrices)
 
     def evaluate(self, w: Word) -> Mat2:
-        m = self._eval_cache.get(w.letters)
-        if m is None:
-            m = evaluate(w, self.matrices)
-            self._eval_cache[w.letters] = m
-        return m
+        return evaluate(w, self.matrices)
 
     def _grow_ball(self, length: int):
         while len(self._ball_levels) <= length:

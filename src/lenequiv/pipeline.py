@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, HypothesisViolationError
 from .intersections import cyclic_order, exact_count
-from .trace_poly import verify_trace_identity
 from .word_algebra import (
     Word,
     are_conjugate,
@@ -77,18 +76,18 @@ def build_pair_general(alpha: Word, beta: Word, g: Word, h: Word, n: int) -> Cur
 
 
 def check_equal_length_symbolic(pair: CurvePair) -> bool:
-    """Metric-free equal-length verdict.
+    """The part of the metric-free equal-length verdict that depends on
+    the pair: are its terms conjugate?
 
     The trace identity tr(A^n B) = tr(B^n A) holds exactly on the
-    equal-trace locus.  Both families lie on it when their terms are
-    conjugate: alpha and alpha^g, and beta^g and beta^h, are conjugate by
-    construction, so the one condition left to check is
+    equal-trace locus, for every n (trace_poly.trace_identity checks it
+    over a range of n in one pass).  Both families lie on the locus when
+    their terms are conjugate: alpha and alpha^g, and beta^g and beta^h,
+    are conjugate by construction, so the one condition left to check is
     <alpha beta^g> = <alpha beta^h> for the general family.  Conjugate
-    words have equal traces in every representation, so the verdict holds
-    for every metric and every n at once.
+    words have equal traces in every representation, so with the
+    identity the verdict holds for every metric.
     """
-    if not verify_trace_identity(pair.n):
-        return False
     if pair.provenance[0] == "self":
         return True
     _, alpha, beta, g, h = pair.provenance

@@ -94,9 +94,15 @@ def classify(m: Mat2) -> str:
 
 
 def translation_length(m: Mat2) -> float:
-    if classify(m) != "hyperbolic":
+    return _length_of_trace(abs(m.trace()))
+
+
+def _length_of_trace(t: float) -> float:
+    """2 acosh(t / 2) for the absolute trace t of a hyperbolic matrix; the
+    test is classify's, and a NaN trace fails it."""
+    if abs(t - 2.0) <= CLASSIFY_TOL or not t > 2.0:
         raise NonHyperbolicError("translation length needs a hyperbolic matrix")
-    return 2.0 * math.acosh(abs(m.trace()) / 2.0)
+    return 2.0 * math.acosh(t / 2.0)
 
 
 def axis(m: Mat2) -> Axis:
@@ -197,6 +203,49 @@ def evaluate(word, gens) -> Mat2:
             m = m.inv()
         out = out.mul(m)
     return out
+
+
+# An entry past 2^_RESCALE_EXP moves a power of two out of the running
+# product, far below the float range's 2^1024, so a product of any length
+# stays finite.
+_RESCALE_EXP = 500
+_RESCALE_AT = 2.0 ** _RESCALE_EXP
+_LOG2 = math.log(2.0)
+
+
+def word_translation_length(word, gens) -> float:
+    """Translation length of a word's matrix, for words too long for its
+    entries to fit a float.
+
+    Multiplies as evaluate does, but once an entry passes 2^500 it divides
+    the product by a power of two, exactly, and adds the exponent to a
+    running scale.  Scaling by a power of two is exact, so wherever
+    evaluate's product has a finite trace the result has its bits, that of
+    translation_length(evaluate(word, gens)).  Past the float range,
+    |tr| = |t| 2^scale, with t the trace of the scaled product, is so large
+    that 2 acosh(|tr| / 2) = 2 log|tr| = 2 (log|t| + scale log 2) in floats.
+    A trace far below the entries (a long conjugate of a short word)
+    cancels in floats, scaled or not.
+    """
+    mats = getattr(gens, "matrices", gens)
+    out = IDENTITY
+    scale = 0
+    for letter in word.letters:
+        m = mats[abs(letter) - 1]
+        if letter < 0:
+            m = m.inv()
+        out = out.mul(m)
+        big = max(abs(out.a), abs(out.b), abs(out.c), abs(out.d))
+        if big > _RESCALE_AT:
+            e = math.frexp(big)[1]
+            out = Mat2(*(math.ldexp(v, -e) for v in out.entries()))
+            scale += e
+    t = abs(out.trace())
+    if scale and t:
+        if math.frexp(t)[1] + scale > 1024:  # |tr| past the float range
+            return 2.0 * (math.log(t) + scale * _LOG2)
+        t = math.ldexp(t, scale)
+    return _length_of_trace(t)
 
 
 def dist_to_plus_minus_identity(m: Mat2) -> float:

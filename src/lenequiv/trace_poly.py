@@ -24,6 +24,10 @@ costs one text key.  Only a miss computes the cyclic normal form to try the
 class's key, and then normalizes the inverse to try the key of the other
 orientation.
 
+trace_identity builds the polynomials of a^n b and b^n a for a whole range
+of n in one pass of the doubled-letter rule, without the recursion or the
+memo.
+
 A polynomial stores each monomial x^i y^j z^k under one int that packs the
 fields (i + j + k, j, k), the degree above the j and k fields: the product
 of two monomials is the sum of their keys, and y := x clears the j field.
@@ -163,10 +167,14 @@ class TracePolynomial:
 
     def specialize_equal_traces(self) -> "TracePolynomial":
         """Substitute y := x (the locus where tr A = tr B)."""
-        out: dict[int, int] = {}
+        # x^i y^j z^k -> x^(i+j) z^k, of the same degree
+        out = {e & _CLEAR_Y: c for e, c in self._terms.items()}
+        if len(out) == len(self._terms):
+            return TracePolynomial._of(out)  # no two terms merged, so no sum to take
+        out = {}
         get = out.get
         for e, c in self._terms.items():
-            e &= _CLEAR_Y  # x^i y^j z^k -> x^(i+j) z^k, of the same degree
+            e &= _CLEAR_Y
             out[e] = get(e, 0) + c
         return TracePolynomial._of({e: c for e, c in out.items() if c})
 
@@ -288,15 +296,28 @@ def _tr(s: str) -> TracePolynomial:
     return out
 
 
-def verify_trace_identity(n: int) -> bool:
-    """Exact check that tr(A^n B) = tr(B^n A) whenever tr A = tr B.
+def trace_identity(lo: int, hi: int) -> tuple[list[bool], TracePolynomial, TracePolynomial]:
+    """Exact check that tr(A^n B) = tr(B^n A) whenever tr A = tr B, for
+    every n in lo..hi, in one pass.
 
-    The two Fricke polynomials differ as raw polynomials for n >= 2; the
-    identity lives on the equal-trace locus (B conjugate to A), so both
-    sides are compared after substituting y := x.
+    Both sides follow the doubled-letter rule
+    tr(M^(n+1) N) = tr M tr(M^n N) - tr(M^(n-1) N), from (tr B, tr AB) =
+    (y, z) for a^n b and from (tr A, tr BA) = (x, z) for b^n a; only the
+    last two polynomials of each side are kept.  The two differ as raw
+    polynomials for n >= 2; the identity lives on the equal-trace locus
+    (B conjugate to A), so they are compared after substituting y := x.
+    Returns (the verdict for each n in lo..hi, the Fricke polynomials of
+    a^hi b and b^hi a).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    left = trace_polynomial(Word((1,) * n + (2,)))
-    right = trace_polynomial(Word((2,) * n + (1,)))
-    return left.specialize_equal_traces() == right.specialize_equal_traces()
+    if not 1 <= lo <= hi:
+        raise ValueError("need 1 <= lo <= hi, got %d..%d" % (lo, hi))
+    left_prev, left = _Y, _Z  # tr(A^0 B), tr(A B)
+    right_prev, right = _X, _Z  # tr(B^0 A), tr(B A)
+    holds = []
+    for n in range(1, hi + 1):
+        if n > 1:
+            left_prev, left = left, _X * left - left_prev
+            right_prev, right = right, _Y * right - right_prev
+        if n >= lo:
+            holds.append(left.specialize_equal_traces() == right.specialize_equal_traces())
+    return holds, left, right

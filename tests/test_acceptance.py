@@ -18,7 +18,7 @@ from lenequiv.intersections import cyclic_order, exact_count, exact_intersection
 from lenequiv.pipeline import check_nonconjugate, find_min_N, is_filling
 from lenequiv.reports import RunConfig, emit, run
 from lenequiv.sl2 import axis, crossing_angle, hyperbolic_cosine_rule, translation_length
-from lenequiv.trace_poly import verify_trace_identity
+from lenequiv.trace_poly import trace_identity
 from lenequiv.word_algebra import (
     SurfaceSpec,
     Word,
@@ -51,9 +51,9 @@ def fig8(pants_rep):
 
 def test_acceptance_1_exact_trace_identity(capsys):
     t0 = time.perf_counter()
-    holds = [verify_trace_identity(n) for n in range(1, 13)]
+    holds, _, _ = trace_identity(1, 12)
     elapsed = time.perf_counter() - t0
-    verdict(capsys, 1, all(holds) and elapsed < 5.0)
+    verdict(capsys, 1, len(holds) == 12 and all(holds) and elapsed < 5.0)
 
 
 def test_acceptance_2_equal_length_over_100_representations(capsys):

@@ -160,9 +160,32 @@ def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
     assert "exceed tolerance" in capsys.readouterr().err
 
 
+def test_regression_verify_lengths_of_long_words_stay_finite(tmp_path, capfdbinary):
+    # the matrix of (ab)^n (ab)^a overflowed to Mat2(-inf, -inf, inf, inf)
+    # from n = 207 on seed 0 (182 on seed 1, 165 on seed 2), and verify
+    # exited 4 with "translation length needs a hyperbolic matrix"
+    cfg_data = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": "verify",
+        "words": {"alpha": "ab"},
+        "seeds": [0, 1, 2],
+        "n_range": [200, 210],
+    }
+    path = write_config(tmp_path, cfg_data)
+    assert cli.main(["run", path]) == 0
+    report = json.loads(capfdbinary.readouterr().out)
+    p = report["payload"]
+    assert p["ok"] is True and p["symbolic_ok"] is True
+    assert p["max_rel_dev"] <= report["config"]["tol"]
+    assert len(p["rows"]) == 33
+    assert all(r["tau_left"] > 0 for r in p["rows"])
+
+
 @pytest.mark.parametrize("task", ["trace-id", "verify"])
 def test_n_range_past_the_trace_bound_exits_2(task, tmp_path, capfd):
-    # a^n b past the bound would end in a RecursionError traceback
+    # the bound keeps the report size and run time in check: the identity
+    # pass does O(n) work per n, and trace-id prints two polynomials of
+    # about n terms
     cfg = {
         "surface": {"genus": 0, "boundary_components": 3},
         "task": task,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lenequiv import __version__, cli, reports
+from lenequiv import __version__, cli, reports, trace_poly
 from lenequiv.errors import ConfigError
 from lenequiv.reports import Report, RunConfig, emit, load_config, round9, run
 
@@ -243,7 +243,10 @@ def test_exact_answer_computed_once_per_run(task, words, module, name, monkeypat
 
 
 def test_verify_exact_columns_computed_once_per_n(monkeypatch):
-    calls = {name: 0 for name in ("check_nonconjugate", "check_equal_length_symbolic", "is_filling")}
+    calls = {
+        name: 0
+        for name in ("check_nonconjugate", "check_equal_length_symbolic", "is_filling", "trace_identity")
+    }
     for name in calls:
         exact = getattr(reports, name)
 
@@ -258,8 +261,44 @@ def test_verify_exact_columns_computed_once_per_n(monkeypatch):
     })
     rows = run(cfg).payload["rows"]
     assert len(rows) == 9  # 3 seeds x 3 exponents
-    assert calls == {"check_nonconjugate": 3, "check_equal_length_symbolic": 3, "is_filling": 6}
+    assert calls == {
+        "check_nonconjugate": 3, "check_equal_length_symbolic": 3, "is_filling": 6, "trace_identity": 1,
+    }
     assert len({row["tau_left"] for row in rows if row["n"] == 2}) == 3  # lengths stay per seed
+
+
+@pytest.mark.parametrize(
+    "task, words",
+    [("trace-id", {}), ("verify", {"alpha": "ab"})],
+    ids=["trace-id", "verify"],
+)
+def test_trace_identity_computed_once_per_run(task, words, monkeypatch):
+    # one pass over the whole n_range, and no word goes through the
+    # memoized recursion of trace_polynomial
+    identity_calls, recursion_calls = [], []
+    identity, recursion = reports.trace_identity, trace_poly._tr
+
+    def counted_identity(*args):
+        identity_calls.append(args)
+        return identity(*args)
+
+    def counted_recursion(*args):
+        recursion_calls.append(args)
+        return recursion(*args)
+
+    monkeypatch.setattr(reports, "trace_identity", counted_identity)
+    monkeypatch.setattr(trace_poly, "_tr", counted_recursion)
+    monkeypatch.setattr(trace_poly, "_memo", {})
+    cfg = RunConfig.from_dict(
+        {"surface": PANTS_SURFACE, "task": task, "words": words, "seeds": [0, 1], "n_range": [2, 30]}
+    )
+    payload = run(cfg).payload
+    assert identity_calls == [(2, 30)]
+    assert recursion_calls == []
+    assert trace_poly._memo == {}
+    rows = payload["rows"]
+    assert [r["n"] for r in rows] == list(range(2, 31)) * (2 if task == "verify" else 1)
+    assert payload["all_hold" if task == "trace-id" else "symbolic_ok"] is True
 
 
 def test_pairs_payload():

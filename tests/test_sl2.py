@@ -6,11 +6,13 @@ repelling one).  Oracle for word evaluation: exact integer 2x2 products.
 """
 
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sl2z
 from reference_walk import axes_cross, crossing_sign
 
 from lenequiv.errors import DegeneracyError, NonHyperbolicError
@@ -31,6 +33,7 @@ from lenequiv.sl2 import (
     mobius,
     tangent_at,
     translation_length,
+    word_translation_length,
 )
 from lenequiv.word_algebra import parse_word
 
@@ -374,6 +377,37 @@ def test_evaluate_matches_exact_integer_oracle(letters):
     for g, e in zip(got.entries(), exact):
         assert g == pytest.approx(e, rel=1e-12, abs=1e-9)
     assert abs(got.det() - 1.0) < 1e-9
+
+
+def test_word_translation_length_keeps_the_bits_of_short_words(pants_reps):
+    words = ["ab", "aB", "aabAB", "abbaBA" * 3, "ab" * 100 + "aab"]
+    for rep in pants_reps:
+        for text in words:
+            w = parse_word(text, rank=2)
+            assert word_translation_length(w, rep) == translation_length(evaluate(w, rep)), text
+
+
+def test_word_translation_length_past_the_float_range():
+    # positive words in the shears [[1, 1], [0, 1]], [[1, 0], [1, 1]] have
+    # exact integer traces; at 2000 letters they pass 2^1024, where
+    # 2 acosh(t / 2) = 2 log t to double precision
+    rng = random.Random(7)
+    letters = [rng.choice((1, 2)) for _ in range(2000)]
+    word = parse_word("".join("ab"[k - 1] for k in letters), rank=2)
+    gens = [Mat2(1.0, 1.0, 0.0, 1.0), Mat2(1.0, 0.0, 1.0, 1.0)]
+    assert not all(math.isfinite(v) for v in evaluate(word, gens).entries())
+    exact = sl2z.trace(letters, (1, 1, 0, 1), (1, 0, 1, 1))
+    assert exact.bit_length() > 1024
+    assert word_translation_length(word, gens) == pytest.approx(2.0 * math.log(exact), rel=1e-13)
+
+
+def test_word_translation_length_of_long_powers(pants_rep):
+    # tau(w^k) = k tau(w); (ab)^400 overflows an unscaled product
+    w = parse_word("ab", rank=2)
+    tau = word_translation_length(w, pants_rep)
+    for k in (50, 400, 1000):
+        got = word_translation_length(parse_word("ab" * k, rank=2), pants_rep)
+        assert got == pytest.approx(k * tau, rel=1e-12), k
 
 
 def test_dist_to_plus_minus_identity():

@@ -18,12 +18,13 @@ import sl2z
 from lenequiv import trace_poly
 from lenequiv.errors import UnsupportedRankError
 from lenequiv.sl2 import Mat2, evaluate
-from lenequiv.trace_poly import TracePolynomial, chebyshev_power, trace_polynomial, verify_trace_identity
+from lenequiv.trace_poly import TracePolynomial, chebyshev_power, trace_identity, trace_polynomial
 from lenequiv.word_algebra import Word, conjugate, free_reduce, invert, parse_word
 
 X = TracePolynomial.variable(0)
 Y = TracePolynomial.variable(1)
 Z = TracePolynomial.variable(2)
+SEVEN = TracePolynomial.constant(7)
 
 
 def tp(text):
@@ -75,6 +76,25 @@ def test_specialize_equal_traces():
     assert p != q
     assert p.specialize_equal_traces() == q.specialize_equal_traces()
     assert str(p.specialize_equal_traces()) == "x*z - x"
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        # y := x merges terms
+        (X - Y, TracePolynomial()),
+        (X + Y, 2 * X),
+        (X * Y * Z - X * X * Z, TracePolynomial()),
+        (X * Y + X * X - 3 * Y + Z, 2 * X * X - 3 * X + Z),
+        # y := x merges nothing
+        (X * Y - Z, X * X - Z),
+        (Y * Y * Z - 2 * X + SEVEN, X * X * Z - 2 * X + SEVEN),
+        (TracePolynomial(), TracePolynomial()),
+    ],
+    ids=["x-y", "x+y", "xyz-x2z", "partial", "xy-z", "y2z-2x+7", "zero"],
+)
+def test_specialize_equal_traces_cases(poly, expected):
+    assert poly.specialize_equal_traces() == expected
 
 
 # ----------------------------------------------------------------- chebyshev
@@ -268,10 +288,39 @@ def test_every_spelling_of_a_class_hits_its_memo_entry(text, monkeypatch):
 
 
 def test_power_product_traces_agree_on_equal_trace_locus():
-    for n in range(1, 13):
-        assert verify_trace_identity(n)
+    holds, _, _ = trace_identity(1, 12)
+    assert holds == [True] * 12
     with pytest.raises(ValueError):
-        verify_trace_identity(0)
+        trace_identity(0, 12)
+    with pytest.raises(ValueError):
+        trace_identity(5, 4)
+
+
+def test_trace_identity_agrees_with_the_recursion(monkeypatch):
+    # the one-pass rule and the memoized recursion are two routes to the
+    # same Fricke polynomials
+    monkeypatch.setattr(trace_poly, "_memo", {})
+    for n in range(1, 61):
+        holds, left, right = trace_identity(n, n)
+        assert holds == [True]
+        assert left == trace_polynomial(Word((1,) * n + (2,))), n
+        assert right == trace_polynomial(Word((2,) * n + (1,))), n
+
+
+def test_trace_identity_range_matches_single_runs():
+    holds, left, right = trace_identity(3, 9)
+    assert holds == [True] * 7
+    assert (left, right) == trace_identity(9, 9)[1:]
+
+
+def test_trace_identity_polynomials_match_exact_integer_traces():
+    # n = 500 is the largest n_range the CLI allows
+    _, left, right = trace_identity(1, 500)
+    rng = random.Random(500)
+    for _ in range(2):
+        a, b = sl2z.random_pair(rng)
+        assert left.evaluate(*_at_point(a, b)) == sl2z.trace((1,) * 500 + (2,), a, b)
+        assert right.evaluate(*_at_point(a, b)) == sl2z.trace((2,) * 500 + (1,), a, b)
 
 
 def test_power_product_traces_differ_raw():

@@ -11,7 +11,6 @@ from .errors import (
     AlphabetError,
     CertificationError,
     ConfigError,
-    DegeneracyError,
     DegenerateInputError,
     HypothesisViolationError,
     LenEquivError,
@@ -38,15 +37,14 @@ from .word_algebra import (
 )
 from .sl2 import (
     Axis,
-    HPoint,
     Mat2,
     axis,
     classify,
     evaluate,
-    hyperbolic_cosine_rule,
     mobius,
     translation_length,
     word_translation_length,
+    word_translation_lengths,
 )
 from .trace_poly import TracePolynomial, chebyshev_power, trace_identity, trace_polynomial
 from .fuchsian import (
@@ -79,7 +77,6 @@ __all__ = [
     "AlphabetError",
     "CertificationError",
     "ConfigError",
-    "DegeneracyError",
     "DegenerateInputError",
     "HypothesisViolationError",
     "LenEquivError",
@@ -104,15 +101,14 @@ __all__ = [
     "word_str",
     # sl2
     "Axis",
-    "HPoint",
     "Mat2",
     "axis",
     "classify",
     "evaluate",
-    "hyperbolic_cosine_rule",
     "mobius",
     "translation_length",
     "word_translation_length",
+    "word_translation_lengths",
     # trace_poly
     "TracePolynomial",
     "chebyshev_power",

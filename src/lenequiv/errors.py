@@ -17,10 +17,6 @@ class NonHyperbolicError(LenEquivError):
     """A matrix was elliptic or parabolic where a hyperbolic one is required."""
 
 
-class DegeneracyError(LenEquivError):
-    """Boundary endpoints too close to decide a crossing or a sign reliably."""
-
-
 class UnsupportedRankError(LenEquivError):
     """Operation not implemented for this word rank or surface genus."""
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._records import same_class_equality
 from .errors import CertificationError, NonHyperbolicError, UnsupportedRankError
 from .sl2 import (
     INF,
@@ -52,8 +53,8 @@ _FREENESS_WORD_LEN = 6
 _FREENESS_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class Arc:
+@same_class_equality
+class Arc(NamedTuple):
     """Closed arc on the boundary circle, counterclockwise from start."""
 
     start: float  # angles in (-pi, pi]
@@ -98,8 +99,8 @@ def _point_at_angle(theta: float) -> float:
     return math.tan(theta / 2.0)
 
 
-@dataclass(frozen=True)
-class PingPongCertificate:
+@same_class_equality
+class PingPongCertificate(NamedTuple):
     """Disjoint boundary intervals, one per signed generator.
 
     arcs[label] is the interval of that signed generator; label text is

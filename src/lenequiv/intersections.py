@@ -17,8 +17,9 @@ and records need no bound and are the same for every representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._records import same_class_equality
 from .errors import CertificationError, DegenerateInputError
 from .word_algebra import (
     Word,
@@ -32,8 +33,8 @@ from .word_algebra import (
 )
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
+@same_class_equality
+class IntersectionRecord(NamedTuple):
     witness: Word
     sign: int
 

@@ -21,8 +21,9 @@ show the equal-length verdict on given metrics belong to the report layer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._records import same_class_equality
 from .errors import DegenerateInputError, HypothesisViolationError
 from .intersections import cyclic_order, exact_count
 from .word_algebra import (
@@ -40,8 +41,8 @@ from .word_algebra import (
 )
 
 
-@dataclass(frozen=True)
-class CurvePair:
+@same_class_equality
+class CurvePair(NamedTuple):
     left: Word
     right: Word
     n: int

@@ -8,15 +8,14 @@ configs produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
+from ._records import Record
 from .bracket import FormalSum, bracket, bracket_self_terms
 from .errors import AlphabetError, ConfigError, DegenerateInputError
 from .fuchsian import SPREAD_FLOOR, sample_representation
@@ -29,7 +28,7 @@ from .pipeline import (
     find_min_N,
     is_filling,
 )
-from .sl2 import word_translation_length
+from .sl2 import word_translation_lengths
 from .trace_poly import trace_identity
 from .word_algebra import SurfaceSpec, Word, parse_word
 
@@ -38,7 +37,7 @@ TASKS = ("bracket", "bracket-self", "pairs", "verify", "trace-id", "filling", "s
 # trace-id and verify check the trace identity for every n in n_range in
 # one pass, at O(n) work per n, and trace-id prints the polynomials of a^n b
 # and b^n a at the top of the range, about n terms each; so the cap bounds
-# report size and run time: trace-id at n = 500 takes about 0.2 s in
+# report size and run time: trace-id at n = 500 takes about 0.1 s in
 # process and prints about 114 kB of JSON
 TRACE_N_MAX = 500
 
@@ -83,17 +82,36 @@ def _check_trace_bound(task: str, n_range) -> None:
         raise ConfigError("task %r takes n_range up to %d, got %d" % (task, TRACE_N_MAX, n_range[1]))
 
 
-@dataclass
-class RunConfig:
-    surface: SurfaceSpec
-    task: str
-    words: dict = field(default_factory=dict)  # name -> Word
-    seeds: tuple = (0,)
-    spread: float = 3.0
-    n_range: tuple = (1, 8)
-    tol: float = 1e-9
-    output_path: Optional[str] = None
-    scc_word_bound: Optional[int] = None
+class RunConfig(Record):
+    """A validated run configuration; mutable, so the CLI can override the
+    task, seeds and output path after loading."""
+
+    __slots__ = (
+        "surface", "task", "words", "seeds", "spread", "n_range", "tol",
+        "output_path", "scc_word_bound",
+    )
+
+    def __init__(
+        self,
+        surface: SurfaceSpec,
+        task: str,
+        words: Optional[dict] = None,  # name -> Word; None for a new empty dict
+        seeds: tuple = (0,),
+        spread: float = 3.0,
+        n_range: tuple = (1, 8),
+        tol: float = 1e-9,
+        output_path: Optional[str] = None,
+        scc_word_bound: Optional[int] = None,
+    ):
+        self.surface = surface
+        self.task = task
+        self.words = {} if words is None else words
+        self.seeds = seeds
+        self.spread = spread
+        self.n_range = n_range
+        self.tol = tol
+        self.output_path = output_path
+        self.scc_word_bound = scc_word_bound
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -184,13 +202,15 @@ class RunConfig:
         }
 
 
-@dataclass
-class Report:
-    config: dict
-    task: str
-    payload: dict
-    versions: dict
-    wall_time_s: float = 0.0  # informational; never serialized
+class Report(Record):
+    __slots__ = ("config", "task", "payload", "versions", "wall_time_s")
+
+    def __init__(self, config: dict, task: str, payload: dict, versions: dict, wall_time_s: float = 0.0):
+        self.config = config
+        self.task = task
+        self.payload = payload
+        self.versions = versions
+        self.wall_time_s = wall_time_s  # informational; never serialized
 
     def to_json_obj(self) -> dict:
         return {
@@ -335,9 +355,11 @@ def _task_verify(config: RunConfig) -> dict:
     rows = []
     max_dev_overall = 0.0
     for rep in reps:
-        for pair, cols in zip(pairs, columns):
-            tau_l = word_translation_length(pair.left, rep)
-            tau_r = word_translation_length(pair.right, rep)
+        # consecutive members share all but a few letters: alpha^n is a
+        # prefix of alpha^(n+1), and so on
+        taus_l = word_translation_lengths([pair.left for pair in pairs], rep)
+        taus_r = word_translation_lengths([pair.right for pair in pairs], rep)
+        for pair, cols, tau_l, tau_r in zip(pairs, columns, taus_l, taus_r):
             rel = abs(tau_l - tau_r) / max(tau_l, tau_r)
             max_dev_overall = max(max_dev_overall, rel)
             rows.append(dict(
@@ -508,6 +530,8 @@ def emit(report: Report, fmt: str = "json") -> bytes:
         text = json.dumps(report.to_json_obj(), sort_keys=True, indent=2)
         return (text + "\n").encode("utf-8")
     if fmt == "csv":
+        import csv  # only here: most runs never load it
+
         cols, rows = _csv_rows(report)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

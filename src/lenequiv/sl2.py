@@ -8,16 +8,17 @@ m and -m represent the same isometry, all trace tests use |tr|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegeneracyError, NonHyperbolicError
+from ._records import same_class_equality
+from .errors import NonHyperbolicError
 
 INF = math.inf
 CLASSIFY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Mat2:
+@same_class_equality
+class Mat2(NamedTuple):
     a: float
     b: float
     c: float
@@ -57,14 +58,8 @@ class Mat2:
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class HPoint:
-    x: float
-    y: float  # y > 0
-
-
-@dataclass(frozen=True)
-class Axis:
+@same_class_equality
+class Axis(NamedTuple):
     """Oriented geodesic of a hyperbolic isometry, repelling -> attracting."""
 
     repelling: float
@@ -122,70 +117,6 @@ def axis(m: Mat2) -> Axis:
     return Axis((lam_rep - m.d) / m.c, (lam_att - m.d) / m.c, tau)
 
 
-def _geometry(ax: Axis):
-    # vertical line -> ("v", x0); semicircle -> ("c", center, radius)
-    u, w = ax.repelling, ax.attracting
-    if math.isinf(u):
-        return ("v", w)
-    if math.isinf(w):
-        return ("v", u)
-    return ("c", (u + w) / 2.0, abs(w - u) / 2.0)
-
-
-def crossing_point(a1: Axis, a2: Axis) -> HPoint:
-    g1, g2 = _geometry(a1), _geometry(a2)
-    if g1[0] == "v" and g2[0] == "v":
-        raise DegeneracyError("parallel vertical geodesics do not cross")
-    if g1[0] == "v" or g2[0] == "v":
-        v = g1[1] if g1[0] == "v" else g2[1]
-        _, c, r = g2 if g1[0] == "v" else g1
-        y2 = r * r - (v - c) * (v - c)
-        if y2 <= 0.0:
-            raise DegeneracyError("geodesics do not cross in the upper half-plane")
-        return HPoint(v, math.sqrt(y2))
-    _, c1, r1 = g1
-    _, c2, r2 = g2
-    if c1 == c2:
-        raise DegeneracyError("concentric semicircles do not cross")
-    x = (r1 * r1 - r2 * r2 - c1 * c1 + c2 * c2) / (2.0 * (c2 - c1))
-    y2 = r1 * r1 - (x - c1) * (x - c1)
-    if y2 <= 0.0:
-        raise DegeneracyError("geodesics do not cross in the upper half-plane")
-    return HPoint(x, math.sqrt(y2))
-
-
-def tangent_at(ax: Axis, p: HPoint) -> tuple[float, float]:
-    """Unit tangent (Euclidean chart) in the direction of travel at p."""
-    geo = _geometry(ax)
-    if geo[0] == "v":
-        return (0.0, 1.0) if math.isinf(ax.attracting) else (0.0, -1.0)
-    _, c, r = geo
-    # (y, c - x)/r points toward the right-hand endpoint along the semicircle
-    tx, ty = p.y / r, (c - p.x) / r
-    if ax.attracting > ax.repelling:
-        return (tx, ty)
-    return (-tx, -ty)
-
-
-def crossing_angle(a1: Axis, a2: Axis) -> float:
-    """Angle in (0, pi) between the positive tangent directions at the crossing."""
-    p = crossing_point(a1, a2)
-    t1 = tangent_at(a1, p)
-    t2 = tangent_at(a2, p)
-    dot = max(-1.0, min(1.0, t1[0] * t2[0] + t1[1] * t2[1]))
-    return math.acos(dot)
-
-
-def hyperbolic_cosine_rule(side_a: float, side_b: float, angle_gamma: float) -> float:
-    """Side c of a hyperbolic triangle from two sides and the included angle."""
-    if side_a <= 0.0 or side_b <= 0.0:
-        raise ValueError("triangle sides must be positive")
-    if not 0.0 < angle_gamma < math.pi:
-        raise ValueError("included angle must lie strictly between 0 and pi")
-    rhs = math.cosh(side_a) * math.cosh(side_b) - math.sinh(side_a) * math.sinh(side_b) * math.cos(angle_gamma)
-    return math.acosh(max(1.0, rhs))
-
-
 def evaluate(word, gens) -> Mat2:
     """Evaluate a word under a generator assignment (list of Mat2 or an
     object with a .matrices attribute).
@@ -227,25 +158,60 @@ def word_translation_length(word, gens) -> float:
     A trace far below the entries (a long conjugate of a short word)
     cancels in floats, scaled or not.
     """
+    return word_translation_lengths((word,), gens)[0]
+
+
+def _shared_prefix(u: tuple, v: tuple) -> int:
+    """Length of the longest common prefix of two tuples, bisected with
+    slice comparisons that run at C speed."""
+    lo, hi = 0, min(len(u), len(v))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[:mid] == v[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def word_translation_lengths(words, gens) -> list[float]:
+    """word_translation_length of each word in turn, for a run of words that
+    share long prefixes (alpha^n alpha^g for n = 1, 2, ...).
+
+    Each word resumes the running (scaled product, scale) at the end of the
+    prefix it shares with the word before, so the shared letters are
+    multiplied once.  Over that prefix the multiplications and rescales are
+    the ones the word's own pass would make, so every length keeps its bits.
+    """
     mats = getattr(gens, "matrices", gens)
-    out = IDENTITY
-    scale = 0
-    for letter in word.letters:
-        m = mats[abs(letter) - 1]
-        if letter < 0:
-            m = m.inv()
-        out = out.mul(m)
-        big = max(abs(out.a), abs(out.b), abs(out.c), abs(out.d))
-        if big > _RESCALE_AT:
-            e = math.frexp(big)[1]
-            out = Mat2(*(math.ldexp(v, -e) for v in out.entries()))
-            scale += e
-    t = abs(out.trace())
-    if scale and t:
-        if math.frexp(t)[1] + scale > 1024:  # |tr| past the float range
-            return 2.0 * (math.log(t) + scale * _LOG2)
-        t = math.ldexp(t, scale)
-    return _length_of_trace(t)
+    prev: tuple = ()
+    states = [(IDENTITY, 0)]  # states[k]: (scaled product, scale) after k letters of prev
+    out = []
+    for word in words:
+        letters = word.letters
+        k = _shared_prefix(prev, letters)
+        del states[k + 1 :]
+        m, scale = states[k]
+        for letter in letters[k:]:
+            g = mats[abs(letter) - 1]
+            if letter < 0:
+                g = g.inv()
+            m = m.mul(g)
+            big = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
+            if big > _RESCALE_AT:
+                e = math.frexp(big)[1]
+                m = Mat2(*(math.ldexp(v, -e) for v in m))
+                scale += e
+            states.append((m, scale))
+        prev = letters
+        t = abs(m.trace())
+        if scale and t:
+            if math.frexp(t)[1] + scale > 1024:  # |tr| past the float range
+                out.append(2.0 * (math.log(t) + scale * _LOG2))
+                continue
+            t = math.ldexp(t, scale)
+        out.append(_length_of_trace(t))
+    return out
 
 
 def dist_to_plus_minus_identity(m: Mat2) -> float:

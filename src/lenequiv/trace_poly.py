@@ -29,8 +29,8 @@ of n in one pass of the doubled-letter rule, without the recursion or the
 memo.
 
 A polynomial stores each monomial x^i y^j z^k under one int that packs the
-fields (i + j + k, j, k), the degree above the j and k fields: the product
-of two monomials is the sum of their keys, and y := x clears the j field.
+fields (j, k, i + j + k), the degree in the low field: the product of two
+monomials is the sum of their keys, and y := x clears the j field.
 Degrees up to 1023 fit; a product past that raises ValueError.
 """
 
@@ -45,12 +45,14 @@ _VAR_NAMES = ("x", "y", "z")
 _RANK_TWO_LETTERS = frozenset((1, -1, 2, -2))
 
 # Width of each field of a packed key.  The key of x^i y^j z^k is
-# d << 2W | j << W | k with d = i + j + k, so j and k never exceed d, no
+# j << 2W | k << W | d with d = i + j + k, so j and k never exceed d, no
 # field carries while d <= _FIELD, and every key then fits one 30-bit digit
-# of a Python int.  The largest key of a polynomial holds its degree.
+# of a Python int.  The degree sits in the low field because a dict of int
+# keys indexes by their low bits: the degrees of a polynomial's terms are
+# spread, where its z (or y) exponents are often all 0 or 1.
 _BITS = 10
 _FIELD = (1 << _BITS) - 1
-_CLEAR_Y = ~(_FIELD << _BITS)
+_CLEAR_Y = (1 << 2 * _BITS) - 1  # keeps the k and d fields
 
 
 def _pack(expo: tuple[int, int, int]) -> int:
@@ -58,17 +60,21 @@ def _pack(expo: tuple[int, int, int]) -> int:
     d = i + j + k
     if min(expo) < 0 or d > _FIELD:
         raise ValueError("exponents %r: degree outside [0, %d]" % (expo, _FIELD))
-    return d << 2 * _BITS | j << _BITS | k
+    return j << 2 * _BITS | k << _BITS | d
 
 
 def _unpack(key: int) -> tuple[int, int, int]:
-    j, k = key >> _BITS & _FIELD, key & _FIELD
-    return (key >> 2 * _BITS) - j - k, j, k
+    j, k = key >> 2 * _BITS, key >> _BITS & _FIELD
+    return (key & _FIELD) - j - k, j, k
+
+
+def _degree(p: "TracePolynomial") -> int:
+    return max(map(_FIELD.__and__, p._terms), default=0)
 
 
 def _check_degree(p: "TracePolynomial", q: "TracePolynomial") -> None:
     """Refuse a product of degree past _FIELD, which packed keys cannot hold."""
-    if (max(p._terms, default=0) >> 2 * _BITS) + (max(q._terms, default=0) >> 2 * _BITS) > _FIELD:
+    if _degree(p) + _degree(q) > _FIELD:
         raise ValueError("polynomial degree past %d" % _FIELD)
 
 
@@ -142,6 +148,8 @@ class TracePolynomial:
             # a monomial shifts keys one-to-one: nothing to sum, and no
             # product of nonzero coefficients is zero
             ((m, cm),) = mono._terms.items()
+            if cm == 1:  # a bare x, y or z: keys shift, coefficients stay
+                return TracePolynomial._of({e + m: c for e, c in poly._terms.items()})
             return TracePolynomial._of({e + m: c * cm for e, c in poly._terms.items()})
         out: dict[int, int] = {}
         get = out.get

@@ -9,22 +9,22 @@ then by index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+from ._records import FrozenRecord
 from .errors import AlphabetError, DegenerateInputError
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(FrozenRecord):
     """Orientable surface with free fundamental group of rank >= 2."""
 
-    genus: int
-    boundary_components: int
-    punctures: int = 0
+    __slots__ = ("genus", "boundary_components", "punctures")
 
-    def __post_init__(self):
-        g, b, p = self.genus, self.boundary_components, self.punctures
+    def __init__(self, genus: int, boundary_components: int, punctures: int = 0):
+        g, b, p = genus, boundary_components, punctures
+        object.__setattr__(self, "genus", g)
+        object.__setattr__(self, "boundary_components", b)
+        object.__setattr__(self, "punctures", p)
         if g < 0 or b < 0 or p < 0:
             raise ValueError("surface parameters must be nonnegative")
         if 2 - 2 * g - b - p >= 0:
@@ -73,11 +73,37 @@ def letter_to_str(letter: int) -> str:
     return letters_to_str((letter,))
 
 
-@dataclass(frozen=True)
-class Word:
+class _Letters(FrozenRecord):
+    """A letter tuple as an immutable record.  Equality and hash read the
+    one field directly, as they run in the inner loops."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        _set_letters(self, letters)
+
+    def _values(self) -> tuple:
+        return (self.letters,)  # a subclass's own __slots__ is empty
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return "%s(letters=%r)" % (type(self).__qualname__, self.letters)
+
+
+_set_letters = _Letters.letters.__set__  # the slot's own setter, past __setattr__
+
+
+class Word(_Letters):
     """A freely reduced word.  Construct via free_reduce/parse_word."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         return letters_to_str(self.letters)
@@ -93,11 +119,10 @@ class Word:
         return not self.letters
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(_Letters):
     """Canonical rotation of a cyclically reduced word; a conjugacy class."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def key(self) -> str:

@@ -15,9 +15,10 @@ only at small bounds, where the floats still separate the ends.
 
 import math
 
-from lenequiv.errors import DegeneracyError
+from halfplane import DegeneracyError, crossing_point, tangent_at
+
 from lenequiv.intersections import IntersectionRecord, mutual_coset_key, self_coset_key
-from lenequiv.sl2 import Axis, axis, boundary_angle, crossing_point, mobius, tangent_at
+from lenequiv.sl2 import Axis, axis, boundary_angle, mobius
 from lenequiv.word_algebra import Word, cyclic_normal_form, word_sort_key
 
 END_GAP = 1e-9  # rad

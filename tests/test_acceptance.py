@@ -11,13 +11,14 @@ import time
 from collections import defaultdict
 
 import pytest
+from halfplane import crossing_angle, hyperbolic_cosine_rule
 
 from lenequiv.bracket import bracket, bracket_self, bracket_self_terms
 from lenequiv.fuchsian import sample_representation
 from lenequiv.intersections import cyclic_order, exact_count, exact_intersections
 from lenequiv.pipeline import check_nonconjugate, find_min_N, is_filling
 from lenequiv.reports import RunConfig, emit, run
-from lenequiv.sl2 import axis, crossing_angle, hyperbolic_cosine_rule, translation_length
+from lenequiv.sl2 import axis, translation_length
 from lenequiv.trace_poly import trace_identity
 from lenequiv.word_algebra import (
     SurfaceSpec,

@@ -13,27 +13,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import sl2z
+from halfplane import (
+    DegeneracyError,
+    HPoint,
+    crossing_angle,
+    crossing_point,
+    hyperbolic_cosine_rule,
+    tangent_at,
+)
 from reference_walk import axes_cross, crossing_sign
 
-from lenequiv.errors import DegeneracyError, NonHyperbolicError
+from lenequiv.errors import NonHyperbolicError
+from lenequiv.pipeline import build_pair_self
 from lenequiv.sl2 import (
     IDENTITY,
     INF,
     Axis,
-    HPoint,
     Mat2,
     axis,
     boundary_angle,
     classify,
-    crossing_angle,
-    crossing_point,
     dist_to_plus_minus_identity,
     evaluate,
-    hyperbolic_cosine_rule,
     mobius,
-    tangent_at,
     translation_length,
     word_translation_length,
+    word_translation_lengths,
 )
 from lenequiv.word_algebra import parse_word
 
@@ -200,7 +205,7 @@ def test_mobius_extended_reals():
 
 # ---------------------------------------------------------------- crossings
 # axes_cross and crossing_sign are the reference walk's, built on sl2's
-# boundary_angle, crossing_point and tangent_at
+# boundary_angle and the test helper's crossing_point and tangent_at
 
 
 def test_axes_cross_interleaving():
@@ -408,6 +413,22 @@ def test_word_translation_length_of_long_powers(pants_rep):
     for k in (50, 400, 1000):
         got = word_translation_length(parse_word("ab" * k, rank=2), pants_rep)
         assert got == pytest.approx(k * tau, rel=1e-12), k
+
+
+@pytest.mark.parametrize("surface, alpha, g", [("pants", "ab", "b"), ("torus", "aabaB", "a")])
+def test_word_translation_lengths_keep_the_bits_of_each_word(surface, alpha, g, pants_rep, torus_rep):
+    # verify's order: the members of the pairs for n = 1, 2, ..., each
+    # resuming the product at the prefix it shares with the word before;
+    # then reversed, and both sides in one run, where the shared prefixes
+    # shrink and vanish
+    rep = pants_rep if surface == "pants" else torus_rep
+    pairs = [build_pair_self(parse_word(alpha, 2), parse_word(g, 2), n) for n in range(1, 181)]
+    lefts, rights = [p.left for p in pairs], [p.right for p in pairs]
+    # the long words pass the rescale threshold, so resumed states carry a scale
+    assert not all(abs(v) <= 2.0 ** 500 for v in evaluate(lefts[-1], rep).entries())
+    for words in (lefts, rights, lefts[::-1], lefts + rights):
+        assert word_translation_lengths(words, rep) == [word_translation_length(w, rep) for w in words]
+    assert word_translation_lengths([], rep) == []
 
 
 def test_dist_to_plus_minus_identity():

@@ -26,7 +26,6 @@ from .word_algebra import (
     conjugate,
     cyclic_normal_form,
     cyclic_reduce,
-    enumerate_reduced_words,
     free_reduce,
     invert,
     is_conjugate_to_inverse,
@@ -91,7 +90,6 @@ __all__ = [
     "conjugate",
     "cyclic_normal_form",
     "cyclic_reduce",
-    "enumerate_reduced_words",
     "free_reduce",
     "invert",
     "is_conjugate_to_inverse",

@@ -165,9 +165,19 @@ def _crossing_sign(a_minus, a_plus, q_minus, q_plus) -> int:
     return 1 if inside == (a_minus < a_plus) else -1
 
 
-def _linked_candidates(alpha: Word, beta: Word, pos: dict):
+def _ends_at(ends, length: int):
+    """Rotation ends cut to `length` letters: a turn key's prefix is the turn
+    key of the end's prefix, so ends built once at the longest length serve
+    every shorter one."""
+    plus, minus = ends
+    return [key[:length] for key in plus], [key[:length] for key in minus]
+
+
+def _linked_candidates(a: tuple[int, ...], a_ends, b: tuple[int, ...], b_ends):
     """(i, k, sign) for each g = alpha[:i] beta[:k]^-1 whose translate
-    g.A_beta crosses A_alpha, one g per double coset <alpha> g <beta>.
+    g.A_beta crosses A_alpha, one g per double coset <alpha> g <beta>; a and
+    b are the letters of alpha and beta, and a_ends and b_ends their
+    _rotation_ends at |alpha| + |beta| letters.
 
     g.A_beta = alpha[:i].A_beta' with beta' = beta[k:] + beta[:k], so moved
     by alpha[:i]^-1 both axes pass through the identity.  A translate that
@@ -178,10 +188,8 @@ def _linked_candidates(alpha: Word, beta: Word, pos: dict):
     kept translate shares no end with A_alpha, so keys of that length
     decide the order.
     """
-    a, b = alpha.letters, beta.letters
-    length = len(a) + len(b)
-    a_plus, a_minus = _rotation_ends(a, pos, length)
-    b_plus, b_minus = _rotation_ends(b, pos, length)
+    a_plus, a_minus = a_ends
+    b_plus, b_minus = b_ends
     for i in range(len(a)):
         prev = a[i - 1]
         for k in range(len(b)):
@@ -210,15 +218,40 @@ def _translate_sign(g: Word, alpha: Word, beta: Word, pos: dict) -> int:
     )
 
 
+def exact_counter(beta: Word, order: tuple[int, ...], longest: int):
+    """The function alpha -> exact_count(alpha, beta, order) on words alpha
+    of at most `longest` letters.
+
+    beta's rotation ends are built once, at |beta| + longest letters, and
+    each call cuts them to |alpha| + |beta|; so counting many classes
+    against one long word builds that word's ends once, not once per class.
+    """
+    _require_cyclically_reduced(beta, "beta")
+    pos = {x: j for j, x in enumerate(order)}
+    b = beta.letters
+    b_ends = _rotation_ends(b, pos, len(b) + longest)
+
+    def count(alpha: Word) -> int:
+        a = alpha.letters
+        if len(a) > longest:
+            raise ValueError("alpha has %d letters, more than %d" % (len(a), longest))
+        self_case = _check_pair(alpha, beta)
+        length = len(a) + len(b)
+        ends = _ends_at(b_ends, length)
+        if self_case:
+            # alpha is a rotation of beta and counts the same points
+            linked = sum(1 for _ in _linked_candidates(b, ends, b, ends))
+            return linked // 2  # g and g^-1 are two candidates for one point
+        return sum(1 for _ in _linked_candidates(a, _rotation_ends(a, pos, length), b, ends))
+
+    return count
+
+
 def exact_count(alpha: Word, beta: Word, order: tuple[int, ...]) -> int:
     """Number of intersection points of the geodesics of alpha and beta, or
     of self-intersection points when beta is alpha's class, on every
     hyperbolic structure whose tree has this cyclic order."""
-    self_case = _check_pair(alpha, beta)
-    pos = {x: j for j, x in enumerate(order)}
-    linked = sum(1 for _ in _linked_candidates(alpha, alpha if self_case else beta, pos))
-    # g and g^-1 are two candidates for one self-intersection point
-    return linked // 2 if self_case else linked
+    return exact_counter(beta, order, len(alpha.letters))(alpha)
 
 
 def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list[IntersectionRecord]:
@@ -233,8 +266,12 @@ def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list
     if self_case:
         beta = alpha
     pos = {x: j for j, x in enumerate(order)}
+    a, b = alpha.letters, beta.letters
+    length = len(a) + len(b)
+    a_ends = _rotation_ends(a, pos, length)
+    b_ends = a_ends if self_case else _rotation_ends(b, pos, length)
     records = []
-    for i, k, sign in _linked_candidates(alpha, beta, pos):
+    for i, k, sign in _linked_candidates(a, a_ends, b, b_ends):
         g = Word(junction_product(alpha.letters[:i], invert(Word(beta.letters[:k])).letters))
         if not self_case:
             records.append(IntersectionRecord(witness=mutual_coset_key(g, alpha, beta), sign=sign))

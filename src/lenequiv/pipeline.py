@@ -11,28 +11,31 @@ Equal length for every metric follows from the exact trace identity
 tr(A^n B) = tr(B^n A) on the equal-trace locus, once the pair's terms are
 conjugate; non-conjugacy and not-conjugate-to-inverse are exact
 cyclic-word decisions.  None of these verdicts reads a representation.
-Filling is tested against enumerated simple classes, with exact
-intersection counts: a simple curve never fills, a "no" names a disjoint
-simple class, and a "yes" is evidence at the stated bound on the
-candidates' length, never a completeness claim.  The sampled lengths that
-show the equal-length verdict on given metrics belong to the report layer.
+Filling is tested against the simple classes that the classification of
+simple curves lists (the boundary classes of the pants, the primitive
+classes of the one-holed torus), with exact intersection counts: a simple
+curve never fills, and a "no" names a disjoint simple class.  A "yes" is
+exact on the pants and for torus words of nonzero homology; for
+null-homologous torus words it is evidence at the stated bound on the
+candidates' length.  The sampled lengths that show the equal-length
+verdict on given metrics belong to the report layer.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from typing import NamedTuple
 
 from ._records import same_class_equality
 from .errors import DegenerateInputError, HypothesisViolationError
-from .intersections import cyclic_order, exact_count
+from .intersections import cyclic_order, exact_count, exact_counter
 from .word_algebra import (
     Word,
     are_conjugate,
     compose,
     conjugate,
     cyclic_normal_form,
-    enumerate_reduced_words,
+    invert,
     is_conjugate_to_inverse,
     is_proper_power,
     power,
@@ -121,77 +124,120 @@ def find_min_N(alpha: Word, g: Word, n_max: int):
     return n_observed, table
 
 
-def simple_candidates(rep, bound: int):
-    """Simple (zero self-intersection) primitive classes of word length
-    <= bound, one representative per unoriented conjugacy class, sorted.
-    They depend on the representation only through its cyclic order."""
-    return _simple_classes(cyclic_order(rep), bound)
+def _least_spelling(z: Word) -> Word:
+    """The lesser cyclic normal form of z and z^-1 under word_sort_key: the
+    spelling of z's unoriented class that comes first in (length, letter)
+    order."""
+    spellings = (cyclic_normal_form(z).letters, cyclic_normal_form(invert(z)).letters)
+    return Word(min(spellings, key=word_sort_key))
 
 
-@functools.lru_cache(maxsize=16)
-def _simple_classes(order: tuple[int, ...], bound: int) -> tuple[Word, ...]:
-    """Cached for the 16 most recent (cyclic order, bound) pairs, so every
-    seed of a run shares one scan, and every caller gets the same tuple."""
-    seen: dict[str, Word] = {}
-    for letters in enumerate_reduced_words(len(order) // 2, bound):
-        w = Word(letters)
-        cnf = cyclic_normal_form(w)
-        if len(cnf.letters) != len(letters):
-            continue  # keep only cyclically reduced representatives
-        key = unoriented_class_key(w)
-        if key in seen:
-            continue
-        proper, _, _ = is_proper_power(w)
-        if proper:
-            continue
-        seen[key] = Word(cnf.letters)
-    out = []
-    for key in sorted(seen, key=lambda s: (len(s), s)):
-        z = seen[key]
-        if not exact_count(z, z, order):
-            out.append(z)
-    return tuple(out)
+def _slope_word(p: int, q: int) -> Word:
+    """The simple class of homology p a + q b on the one-holed torus, for
+    coprime p and q: the Christoffel word of slope |q|/|p|, with letter i of
+    n = |p| + |q| the b-letter iff floor(i|q|/n) > floor((i-1)|q|/n).
+    Read over a and b^sign(pq), it is the primitive class of that homology
+    (Osborne-Zieschang 1981); (-p, -q) spells its inverse."""
+    if p < 0:
+        p, q = -p, -q
+    n = p + abs(q)
+    b = 2 if q > 0 else -2
+    return Word(tuple(b if i * abs(q) // n > (i - 1) * abs(q) // n else 1 for i in range(1, n + 1)))
 
 
-def is_filling(w: Word, rep, scc_word_bound: int):
-    """Filling verdict {"yes" | "no" | "inconclusive"} with details.
+def _homology(w: Word) -> tuple[int, int]:
+    """Exponent sums of a and b: the class of w in H_1 = Z^2."""
+    x = w.letters
+    return x.count(1) - x.count(-1), x.count(2) - x.count(-2)
 
-    "no" comes with an explicit witness: an essential non-peripheral
-    simple class disjoint from w, or w itself when w is simple (a simple
-    curve, or a power of one, fills nothing).  "yes" means w is not simple,
-    every essential non-peripheral simple class of length <=
-    scc_word_bound + 1 intersects w, and some candidate has length <=
-    scc_word_bound — evidence at the bound, not a proof.
-    Returns (verdict, witnesses, candidate_table).
-    """
-    w = Word(cyclic_normal_form(w).letters)
-    if w.is_identity:
-        raise DegenerateInputError("the identity is not a curve")
+
+def _peripherals(rep):
     peripherals = rep.peripheral_words()
     if peripherals is None:
         raise DegenerateInputError("peripheral classes unknown for this representation")
+    return peripherals
+
+
+def _on_torus(rep) -> bool:
+    """True on the one-holed torus, where the simple classes are the
+    primitive ones; on the pants they are the boundary classes.  These are
+    the two surfaces whose peripheral classes the layout knows."""
+    return rep.surface.genus == 1
+
+
+def simple_candidates(rep, bound: int) -> tuple[Word, ...]:
+    """The essential simple classes of word length <= bound, peripheral
+    ones included: one per unoriented class, spelled by _least_spelling,
+    sorted by (length, text) of unoriented_class_key.
+
+    They come from the classification of simple curves, not a search.  On
+    the pants every essential simple curve is a boundary curve.  On the
+    one-holed torus the non-peripheral ones are the primitive classes, one
+    Christoffel word per slope (Osborne-Zieschang 1981, Cohen-Metzler-
+    Zimmermann 1981), and the peripheral one is the commutator.
+    """
+    classes = list(_peripherals(rep))
+    if _on_torus(rep):
+        for n in range(1, bound + 1):
+            for p in range(n + 1):
+                if math.gcd(p, n - p) == 1:
+                    classes += [_slope_word(p, n - p), _slope_word(p, p - n)]
+    spellings = {}
+    for z in classes:
+        if len(z.letters) <= bound:
+            spellings.setdefault(unoriented_class_key(z), _least_spelling(z))
+    return tuple(spellings[key] for key in sorted(spellings, key=lambda s: (len(s), s)))
+
+
+def is_filling(w: Word, rep, scc_word_bound: int):
+    """Filling verdict "yes" or "no", with details.
+
+    "no" comes with an explicit witness: an essential non-peripheral
+    simple class disjoint from w, or w itself when w is simple (a simple
+    curve, or a power of one, fills nothing).  The candidate table counts
+    w against every simple class of length <= scc_word_bound + 1, and its
+    disjoint non-peripheral classes are the witnesses.
+
+    "yes" is exact on the pants, whose simple classes are all peripheral,
+    so w fills iff it is not simple.  It is exact on the one-holed torus
+    when w's homology is not 0: a simple class z meets w at least
+    |det(hom w, hom z)| times, so the one class that can miss w is the
+    primitive class parallel to hom w, which is counted whatever its
+    length.  For null-homologous torus words "yes" is evidence at the
+    bound.  Returns (verdict, witnesses, candidate_table).
+    """
+    if scc_word_bound < 1:
+        raise ValueError("scc_word_bound must be at least 1, got %d" % scc_word_bound)
+    w = Word(cyclic_normal_form(w).letters)
+    if w.is_identity:
+        raise DegenerateInputError("the identity is not a curve")
+    peripheral_keys = {unoriented_class_key(p) for p in _peripherals(rep)}
     order = cyclic_order(rep)
     w_key = unoriented_class_key(w)
-    peripheral_keys = {unoriented_class_key(p) for p in peripherals}
+    candidates = simple_candidates(rep, scc_word_bound + 1)
+    parallel = ()  # the simple class parallel to hom w, on the torus
+    h_a, h_b = _homology(w)
+    if _on_torus(rep) and (h_a or h_b):
+        d = math.gcd(h_a, h_b)
+        parallel = (_least_spelling(_slope_word(h_a // d, h_b // d)),)
+    # w's ends are built once, long enough for its own self-count too
+    crossings = exact_counter(w, order, max(len(z.letters) for z in (w,) + candidates + parallel))
     witnesses = []
     table = []
-    candidates = simple_candidates(rep, scc_word_bound + 1)
     for z in candidates:
         z_key = unoriented_class_key(z)
         peripheral = z_key in peripheral_keys
-        if z_key == w_key:
-            count = 0  # z is simple, so its class meets <w> = <z> nowhere transversally
-        else:
-            count = exact_count(z, w, order)
+        # z is simple, so its class meets <w> = <z> nowhere transversally
+        count = 0 if z_key == w_key else crossings(z)
         table.append({"class": str(z), "peripheral": peripheral, "count": count})
         if not peripheral and count == 0:
             witnesses.append(z)
     if witnesses:
         witnesses.sort(key=lambda z: word_sort_key(z.letters))
         return "no", witnesses, table
-    _, root, _ = is_proper_power(w)
-    if not exact_count(root, root, order):
+    proper, root, _ = is_proper_power(w)
+    if not (exact_count(root, root, order) if proper else crossings(w)):
         return "no", [w], table
-    if not any(len(z.letters) <= scc_word_bound for z in candidates):
-        return "inconclusive", [], table
+    if parallel and not crossings(parallel[0]):
+        return "no", list(parallel), table
     return "yes", [], table

@@ -41,9 +41,10 @@ TASKS = ("bracket", "bracket-self", "pairs", "verify", "trace-id", "filling", "s
 # process and prints about 114 kB of JSON
 TRACE_N_MAX = 500
 
-# filling, and verify's filling column, enumerate every reduced word of up
-# to scc_word_bound letters, so the cost triples per step: filling aabb on
-# the pants takes about 0.6 s at 7, 1.8 s at 8 and 5.5 s at 9 on one core
+# filling prints a table that counts w against every simple class of up to
+# scc_word_bound + 1 letters, and verify counts each pair member against
+# it; the classes come in closed form, about (6 / pi^2) (bound + 1)^2 of
+# them on the torus and three on the pants, so the cap bounds table size
 SCC_WORD_BOUND_MAX = 8
 
 _CSV_VERIFY_COLUMNS = (

@@ -323,27 +323,3 @@ def is_proper_power(u: Word) -> tuple[bool, Word, int]:
 def word_sort_key(letters: tuple[int, ...]) -> tuple:
     """Deterministic (length, letter-order) sort key for words."""
     return (len(letters), tuple(_letter_rank(x) for x in letters))
-
-
-def enumerate_reduced_words(rank: int, max_len: int, min_len: int = 1) -> Iterator[tuple[int, ...]]:
-    """All freely reduced words with min_len <= length <= max_len, in
-    (length, letter-order) order.  Letter order is a < A < b < B < ...
-    """
-    alphabet = []
-    for i in range(1, rank + 1):
-        alphabet.append(i)
-        alphabet.append(-i)
-    if min_len == 0:
-        yield ()
-    level: list[tuple[int, ...]] = [()]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for w in level:
-            last = w[-1] if w else 0
-            for x in alphabet:
-                if x == -last:
-                    continue
-                nxt.append(w + (x,))
-        level = nxt
-        if length >= min_len:
-            yield from level

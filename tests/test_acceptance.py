@@ -12,6 +12,7 @@ from collections import defaultdict
 
 import pytest
 from halfplane import crossing_angle, hyperbolic_cosine_rule
+from word_scan import enumerate_reduced_words
 
 from lenequiv.bracket import bracket, bracket_self, bracket_self_terms
 from lenequiv.fuchsian import sample_representation
@@ -27,7 +28,6 @@ from lenequiv.word_algebra import (
     compose,
     conjugate,
     cyclic_normal_form,
-    enumerate_reduced_words,
     parse_word,
     power,
 )

@@ -9,6 +9,7 @@ below them.
 
 import pytest
 from reference_walk import reference_records
+from word_scan import enumerate_reduced_words
 
 from lenequiv import intersections
 from lenequiv.errors import CertificationError, DegenerateInputError
@@ -24,7 +25,6 @@ from lenequiv.word_algebra import (
     SurfaceSpec,
     Word,
     cyclic_normal_form,
-    enumerate_reduced_words,
     is_proper_power,
     parse_word,
     unoriented_class_key,

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 from reference_walk import reference_records
+from word_scan import enumerate_reduced_words
 
 from lenequiv.errors import CertificationError, DegenerateInputError
 from lenequiv.fuchsian import Representation
@@ -24,7 +25,6 @@ from lenequiv.intersections import (
 from lenequiv.word_algebra import (
     Word,
     compose,
-    enumerate_reduced_words,
     free_reduce,
     invert,
     parse_word,

@@ -6,15 +6,18 @@ The word-level identity behind the self family is tested as a property:
 power-product trace identity, not a numerical accident.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from word_scan import enumerate_reduced_words, scanned_simple_classes
 
 import sl2z
+from lenequiv import intersections
 from lenequiv.errors import DegenerateInputError, HypothesisViolationError
-from lenequiv.intersections import cyclic_order, exact_intersections
+from lenequiv.intersections import cyclic_order, exact_count, exact_counter, exact_intersections
 from lenequiv.pipeline import (
     CurvePair,
     build_pair_general,
@@ -32,9 +35,12 @@ from lenequiv.word_algebra import (
     are_conjugate,
     compose,
     conjugate,
+    cyclic_normal_form,
     invert,
+    is_proper_power,
     parse_word,
     power,
+    unoriented_class_key,
 )
 
 
@@ -190,12 +196,31 @@ def test_find_min_N(fig8_witness):
 def test_simple_candidates_pants(pants_rep):
     cands = simple_candidates(pants_rep, 4)
     assert [str(z) for z in cands] == ["a", "b", "aB"]  # only the cuffs
-    assert simple_candidates(pants_rep, 4) is cands  # cached
+    assert [str(z) for z in simple_candidates(pants_rep, 1)] == ["a", "b"]
 
 
 def test_simple_candidates_torus(torus_rep):
     cands = [str(z) for z in simple_candidates(torus_rep, 3)]
     assert cands == ["a", "b", "ab", "aB", "aab", "aaB", "abb", "aBB"]
+
+
+@pytest.mark.parametrize("layout", ["pants", "torus"])
+def test_simple_candidates_match_the_word_scan(layout, pants_rep, torus_rep):
+    # the closed form lists the classes the scan finds, with the same
+    # spelling of each and in the same order
+    rep = pants_rep if layout == "pants" else torus_rep
+    for bound in range(1, 9):
+        assert simple_candidates(rep, bound) == scanned_simple_classes(cyclic_order(rep), bound), bound
+
+
+def test_simple_candidates_torus_counts(torus_rep):
+    # two primitive classes per coprime split p + q = n with p, q > 0 (slopes
+    # q/p and -q/p), a and b, and the commutator
+    cands = simple_candidates(torus_rep, 10)
+    assert len(cands) == 2 + 2 * sum(1 for n in range(2, 11) for p in range(1, n) if math.gcd(p, n) == 1) + 1
+    assert [str(z) for z in cands if len(z.letters) == 10] == [  # slopes 1/9, 3/7, 7/3, 9/1 and their mirrors
+        "aaaaaaaaab", "aaaaaaaaaB", "aaabaabaab", "aaaBaaBaaB", "abbabbabbb", "abbbbbbbbb", "aBBaBBaBBB", "aBBBBBBBBB",
+    ]
 
 
 def test_is_filling_figure_eight(pants_rep):
@@ -238,6 +263,95 @@ def test_is_filling_canonicalizes_input(torus_rep):
     verdict, witnesses, _ = is_filling(w("abA"), torus_rep, 4)
     assert verdict == "no"
     assert [str(z) for z in witnesses] == ["b"]
+
+
+@pytest.mark.parametrize("word, witness", [("aaaaabaBAb", "aaaaab"), ("aaaaaaaaabaBAb", "aaaaaaaaab")])
+@pytest.mark.parametrize("bound", [4, 8])
+def test_torus_word_missing_a_long_simple_class_does_not_fill(word, witness, bound, torus_rep):
+    # regression: a witness longer than every candidate in the table used
+    # to leave the verdict at "yes", even at the largest bound.  It is the
+    # primitive class parallel to the word's homology, the only simple class
+    # that can miss the word
+    verdict, witnesses, table = is_filling(w(word), torus_rep, bound)
+    assert (verdict, [str(z) for z in witnesses]) == ("no", [witness])
+    in_table = len(witness) <= bound + 1
+    assert [row["class"] for row in table if not row["count"] and not row["peripheral"]] == [witness] * in_table
+    assert exact_count(w(witness), w(word), cyclic_order(torus_rep)) == 0
+
+
+def test_torus_verdict_counts_the_parallel_class_past_the_table(torus_rep):
+    # homology (4, 2): only aab, of homology (2, 1), can miss aaabab, and it does
+    verdict, witnesses, table = is_filling(w("aaabab"), torus_rep, 1)
+    assert (verdict, [str(z) for z in witnesses]) == ("no", ["aab"])
+    assert [row["class"] for row in table] == ["a", "b", "ab", "aB"]
+    # homology (3, -1): aaaB, past the table too, meets aabaBB
+    verdict, witnesses, _ = is_filling(w("aabaBB"), torus_rep, 1)
+    assert (verdict, witnesses) == ("yes", [])
+    assert exact_count(w("aaaB"), w("aabaBB"), cyclic_order(torus_rep)) > 0
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_is_filling_rejects_a_bound_below_one(bound, pants_rep):
+    with pytest.raises(ValueError):
+        is_filling(w("aabb"), pants_rep, bound)
+
+
+@pytest.mark.parametrize("layout, word, extra", [("pants", "aabb", 0), ("torus", "aaaaabaBAb", 1)])
+def test_filling_builds_the_ends_of_w_once(layout, word, extra, pants_rep, torus_rep, monkeypatch):
+    # one build for w, which its self-count reuses, one per candidate, and
+    # on the torus one for the class parallel to w's homology
+    rep = pants_rep if layout == "pants" else torus_rep
+    calls = []
+    build = intersections._rotation_ends
+    monkeypatch.setattr(intersections, "_rotation_ends", lambda *args: calls.append(args[0]) or build(*args))
+    _, _, table = is_filling(w(word), rep, 4)
+    assert len(calls) == 1 + len(table) + extra
+    assert calls.count(cyclic_normal_form(w(word)).letters) == 1
+
+
+def test_exact_counter_matches_exact_count(torus_rep):
+    order = cyclic_order(torus_rep)
+    beta = w("aabaBAbb")
+    crossings = exact_counter(beta, order, 8)
+    for z in ("a", "b", "aB", "abb", "aabaBAbb", "abaBAbba", "bbaabaBA", "abAB"):
+        assert crossings(w(z)) == exact_count(w(z), beta, order), z
+    with pytest.raises(ValueError):
+        crossings(w("aaaabbbbb"))  # longer than the ends were built for
+
+
+def _filling_classes(rep, max_len):
+    """Unoriented classes of at most max_len letters, not proper powers,
+    whose filling verdict is exact: every one on the pants, and on the torus
+    those of nonzero homology."""
+    on_torus = rep.surface.genus == 1
+    seen = {}
+    for letters in enumerate_reduced_words(2, max_len):
+        alpha = Word(letters)
+        if cyclic_normal_form(alpha).letters != letters or is_proper_power(alpha)[0]:
+            continue
+        if on_torus and letters.count(1) == letters.count(-1) and letters.count(2) == letters.count(-2):
+            continue
+        seen.setdefault(unoriented_class_key(alpha), alpha)
+    return [alpha for alpha in seen.values() if is_filling(alpha, rep, 1)[0] == "yes"]
+
+
+@pytest.mark.parametrize("layout, n_alpha, n_members", [("pants", 38, 468), ("torus", 8, 64)])
+def test_pairs_built_from_a_filling_curve_fill(layout, n_alpha, n_members, pants_rep, torus_rep):
+    # the paper's filling claim, swept over every filling alpha of <= 5
+    # letters, each of its self-intersection witnesses and n = 2, 3; the
+    # members have (n + 1) times alpha's homology, so every verdict is exact
+    rep = pants_rep if layout == "pants" else torus_rep
+    order = cyclic_order(rep)
+    alphas = _filling_classes(rep, 5)
+    members = [
+        member
+        for alpha in alphas
+        for record in exact_intersections(alpha, alpha, order)
+        for n in (2, 3)
+        for member in build_pair_self(alpha, record.witness, n)[:2]
+    ]
+    assert (len(alphas), len(members)) == (n_alpha, n_members)
+    assert all(is_filling(member, rep, 1)[0] == "yes" for member in members)
 
 
 def test_is_filling_degenerate_inputs(torus_rep):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from word_scan import enumerate_reduced_words
 
 from lenequiv.errors import AlphabetError, DegenerateInputError
 from lenequiv.word_algebra import (
@@ -13,7 +14,6 @@ from lenequiv.word_algebra import (
     conjugate,
     cyclic_normal_form,
     cyclic_reduce,
-    enumerate_reduced_words,
     free_reduce,
     invert,
     is_conjugate_to_inverse,

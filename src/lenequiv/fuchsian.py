@@ -16,7 +16,8 @@ Discreteness + freeness come from a ping-pong certificate: one closed
 boundary interval per signed generator, pairwise disjoint, each generator
 mapping the complement of its inverse's interval strictly into its own.
 The certificate is checked numerically on interval endpoints, plus a
-spot-check that no short reduced word evaluates to +-identity.
+spot check that no reduced word of at most 6 letters evaluates to
++-identity: one depth-first walk over the words that keeps no product.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .sl2 import (
     translation_length,
 )
 from .word_algebra import (
+    SPREAD_FLOOR,
     SurfaceSpec,
     Word,
     letter_to_str,
@@ -46,7 +48,6 @@ from .word_algebra import (
 )
 
 _TWO_PI = 2.0 * math.pi
-SPREAD_FLOOR = 1.5
 _K_SCALES = (1.0, 0.7, 0.5, 0.35, 0.25, 0.18, 0.12, 0.08, 0.05, 0.03)
 _ATT_SHRINK = 0.98  # shrink of the image interval that buys a strict margin
 _FREENESS_WORD_LEN = 6
@@ -115,8 +116,8 @@ class PingPongCertificate(NamedTuple):
 
 
 class Representation:
-    """Generator matrices for a surface group, with a cache for balls of
-    group elements."""
+    """Generator matrices for a surface group, with the inverse of each and
+    the ping-pong certificate once one is found."""
 
     def __init__(self, surface, matrices, seed=None, spread=None, certificate=None, layout=None):
         self.surface = surface
@@ -129,9 +130,6 @@ class Representation:
         for i, m in enumerate(self.matrices, start=1):
             self._signed_gen[i] = m
             self._signed_gen[-i] = m.inv().renormalize()
-        self._ball_words: list[tuple[int, ...]] = [()]
-        self._ball_mats: list[Mat2] = [Mat2(1.0, 0.0, 0.0, 1.0)]
-        self._ball_levels: list[tuple[int, int]] = [(0, 1)]  # (start, stop) per length
 
     @property
     def rank(self) -> int:
@@ -139,30 +137,6 @@ class Representation:
 
     def evaluate(self, w: Word) -> Mat2:
         return evaluate(w, self.matrices)
-
-    def _grow_ball(self, length: int):
-        while len(self._ball_levels) <= length:
-            start, stop = self._ball_levels[-1]
-            lo = len(self._ball_words)
-            for idx in range(start, stop):
-                w = self._ball_words[idx]
-                m = self._ball_mats[idx]
-                last = w[-1] if w else 0
-                for i in range(1, self.rank + 1):
-                    for s in (i, -i):
-                        if s == -last:
-                            continue
-                        self._ball_words.append(w + (s,))
-                        self._ball_mats.append(m.mul(self._signed_gen[s]))
-            self._ball_levels.append((lo, len(self._ball_words)))
-
-    def ball(self, bound: int, include_identity: bool = False):
-        """All reduced words of length <= bound with their matrices, in
-        deterministic (length, letter-order) order."""
-        self._grow_ball(bound)
-        stop = self._ball_levels[bound][1]
-        start = 0 if include_identity else 1
-        return zip(self._ball_words[start:stop], self._ball_mats[start:stop])
 
     def peripheral_words(self):
         """Boundary classes of the layout (known for rank-2 layouts only)."""
@@ -331,6 +305,26 @@ def _check_arcs(rep: Representation, arcs) -> tuple[bool, str]:
 
 
 def _freeness_spot_check(rep: Representation):
-    for _, m in rep.ball(_FREENESS_WORD_LEN):
-        if dist_to_plus_minus_identity(m) < _FREENESS_EPS:
-            raise CertificationError("short word evaluates to +-identity; not free")
+    """CertificationError if a reduced word of 1 to _FREENESS_WORD_LEN
+    letters evaluates to +-identity.
+
+    The words are walked depth first and no product is kept: each is its
+    prefix's product times one signed generator, in Mat2.mul's operation
+    order from the identity.  Only a product whose off-diagonal entries are
+    both below the threshold can be that close to +-identity, because
+    dist_to_plus_minus_identity is at least the larger of the two."""
+    eps = _FREENESS_EPS
+    gens = list(rep._signed_gen.items())
+
+    def walk(a, b, c, d, last, depth):
+        for s, (ga, gb, gc, gd) in gens:
+            if s == -last:
+                continue
+            pa, pb = a * ga + b * gc, a * gb + b * gd
+            pc, pd = c * ga + d * gc, c * gb + d * gd
+            if abs(pb) < eps and abs(pc) < eps and dist_to_plus_minus_identity(Mat2(pa, pb, pc, pd)) < eps:
+                raise CertificationError("short word evaluates to +-identity; not free")
+            if depth > 1:
+                walk(pa, pb, pc, pd, s, depth - 1)
+
+    walk(1.0, 0.0, 0.0, 1.0, 0, _FREENESS_WORD_LEN)

@@ -144,13 +144,22 @@ def _periodic(w: tuple[int, ...], length: int) -> tuple[int, ...]:
     return (w * (length // len(w) + 1))[:length]
 
 
+def _rotation_keys(w: tuple[int, ...], pos: dict, length: int) -> list:
+    """_turn_key of `length` letters of the periodic word of every rotation
+    w[i:] + w[:i]: its first letter's place, then a slice of the turns of
+    the periodic word, which are computed once."""
+    n, m = len(w), len(pos)
+    u = _periodic(w, n + length - 1)
+    turns = [(pos[y] - pos[-x]) % m for x, y in zip(u, u[1:])]
+    return [(pos[u[i]],) + tuple(turns[i : i + length - 1]) for i in range(n)]
+
+
 def _rotation_ends(w: tuple[int, ...], pos: dict, length: int):
     """Turn keys of the ends w_i^+inf and w_i^-inf, `length` letters each, of
     every rotation w_i = w[i:] + w[:i]."""
     n = len(w)
-    inv = invert(Word(w)).letters
-    plus = [_turn_key(_periodic(w[i:] + w[:i], length), pos) for i in range(n)]
-    inv_rotations = [_turn_key(_periodic(inv[i:] + inv[:i], length), pos) for i in range(n)]
+    plus = _rotation_keys(w, pos, length)
+    inv_rotations = _rotation_keys(invert(Word(w)).letters, pos, length)
     # w_i^-1 = inv[n - i:] + inv[:n - i]
     return plus, [inv_rotations[-i % n] for i in range(n)]
 

@@ -16,21 +16,12 @@ from typing import Optional
 
 from . import __version__
 from ._records import Record
-from .bracket import FormalSum, bracket, bracket_self_terms
 from .errors import AlphabetError, ConfigError, DegenerateInputError
-from .fuchsian import SPREAD_FLOOR, sample_representation
-from .intersections import cyclic_order, exact_intersections
-from .pipeline import (
-    build_pair_general,
-    build_pair_self,
-    check_equal_length_symbolic,
-    check_nonconjugate,
-    find_min_N,
-    is_filling,
-)
-from .sl2 import word_translation_lengths
-from .trace_poly import trace_identity
-from .word_algebra import SurfaceSpec, Word, parse_word
+from .word_algebra import SPREAD_FLOOR, SurfaceSpec, Word, parse_word
+
+# Each task imports the engines it runs in its own body, so a run loads (and,
+# without cached bytecode, compiles) only those: trace-id never loads the
+# sampler, filling never loads the Fricke polynomials.
 
 TASKS = ("bracket", "bracket-self", "pairs", "verify", "trace-id", "filling", "sample-reps")
 
@@ -235,14 +226,18 @@ def _need(config: RunConfig, *names: str) -> list:
 
 
 def _reps(config: RunConfig):
+    from .fuchsian import sample_representation
+
     return [sample_representation(config.surface, seed, spread=config.spread) for seed in config.seeds]
 
 
-def _serialize_sum(s: FormalSum):
+def _serialize_sum(s):
     return [[key, coeff] for key, coeff in s.serialize()]
 
 
 def _task_trace_id(config: RunConfig) -> dict:
+    from .trace_poly import trace_identity
+
     lo, hi = config.n_range
     holds, left, right = trace_identity(lo, hi)
     rows = [{"n": n, "holds": h} for n, h in zip(range(lo, hi + 1), holds)]
@@ -275,6 +270,9 @@ def _per_seed(reps, body: dict) -> list:
 
 
 def _task_bracket(config: RunConfig) -> dict:
+    from .bracket import bracket
+    from .intersections import cyclic_order
+
     alpha, beta = _need(config, "alpha", "beta")
     reps = _reps(config)
     s = bracket(alpha, beta, cyclic_order(reps[0]))
@@ -283,6 +281,9 @@ def _task_bracket(config: RunConfig) -> dict:
 
 
 def _task_bracket_self(config: RunConfig) -> dict:
+    from .bracket import FormalSum, bracket_self_terms
+    from .intersections import cyclic_order
+
     (alpha,) = _need(config, "alpha")
     reps = _reps(config)
     terms = bracket_self_terms(alpha, cyclic_order(reps[0]))
@@ -298,6 +299,8 @@ def _task_bracket_self(config: RunConfig) -> dict:
 def _first_self_record(alpha: Word, rep):
     """alpha's self-intersection record with the least witness, and the
     number of records."""
+    from .intersections import cyclic_order, exact_intersections
+
     records = exact_intersections(alpha, alpha, cyclic_order(rep))
     if not records:
         raise DegenerateInputError("word %r has no self-intersections" % str(alpha))
@@ -305,6 +308,8 @@ def _first_self_record(alpha: Word, rep):
 
 
 def _task_pairs(config: RunConfig) -> dict:
+    from .pipeline import find_min_N
+
     (alpha,) = _need(config, "alpha")
     reps = _reps(config)
     record, count = _first_self_record(alpha, reps[0])
@@ -325,6 +330,8 @@ def _verify_pairs(config: RunConfig, rep):
     """(witness, one pair per n in n_range): the self pair from alpha's
     first witness, or the general pair when beta, g and h are all named in
     the config."""
+    from .pipeline import build_pair_general, build_pair_self
+
     (alpha,) = _need(config, "alpha")
     lo, hi = config.n_range
     names = config.words
@@ -336,6 +343,10 @@ def _verify_pairs(config: RunConfig, rep):
 
 
 def _task_verify(config: RunConfig) -> dict:
+    from .pipeline import check_equal_length_symbolic, check_nonconjugate, is_filling
+    from .sl2 import word_translation_lengths
+    from .trace_poly import trace_identity
+
     reps = _reps(config)
     witness, pairs = _verify_pairs(config, reps[0])
     # the exact columns depend on n alone; only the lengths are per seed
@@ -380,6 +391,8 @@ def _task_verify(config: RunConfig) -> dict:
 
 
 def _task_filling(config: RunConfig) -> dict:
+    from .pipeline import is_filling
+
     (w,) = _need(config, "w|alpha")
     bound = config.scc_word_bound if config.scc_word_bound is not None else 4
     reps = _reps(config)

@@ -14,6 +14,11 @@ from typing import Iterable, Iterator, Optional
 from ._records import FrozenRecord
 from .errors import AlphabetError, DegenerateInputError
 
+# least translation parameter t a sampled representation may ask for: a
+# generator conjugate to diag(t, 1/t) with t near 1 has ping-pong intervals
+# too wide to be disjoint
+SPREAD_FLOOR = 1.5
+
 
 class SurfaceSpec(FrozenRecord):
     """Orientable surface with free fundamental group of rank >= 2."""

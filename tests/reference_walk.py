@@ -1,9 +1,9 @@
 """Float reference for the exact intersection engine.
 
-Walks the word ball in (length, letter order) and tests each translate
-g.A_beta against A_alpha in the upper half-plane: the axes cross when the
-boundary angles of their ends interleave, and the sign is that of the
-frame (tangent of A_alpha, tangent of the translate) at the crossing
+Walks the word ball (`ball`) in (length, letter order) and tests each
+translate g.A_beta against A_alpha in the upper half-plane: the axes cross
+when the boundary angles of their ends interleave, and the sign is that of
+the frame (tangent of A_alpha, tangent of the translate) at the crossing
 point, +1 when counterclockwise.  A translate with an end within
 END_GAP rad of an end of A_alpha is skipped: it is a lift of A_alpha
 itself (a power of alpha in the self case), or its ends are too close for
@@ -18,11 +18,28 @@ import math
 from halfplane import DegeneracyError, crossing_point, tangent_at
 
 from lenequiv.intersections import IntersectionRecord, mutual_coset_key, self_coset_key
-from lenequiv.sl2 import Axis, axis, boundary_angle, mobius
+from lenequiv.sl2 import IDENTITY, Axis, axis, boundary_angle, mobius
 from lenequiv.word_algebra import Word, cyclic_normal_form, word_sort_key
 
 END_GAP = 1e-9  # rad
 SIGN_GAP = 1e-9  # |cross product| of unit tangents below which the sign is unreliable
+
+
+def ball(rep, bound: int, include_identity: bool = False) -> list:
+    """(letters, matrix) of every reduced word of length <= bound, in
+    (length, letter order) order; each matrix is its prefix's matrix times
+    one signed generator, starting from the identity."""
+    level = [((), IDENTITY)]
+    out = list(level) if include_identity else []
+    for _ in range(bound):
+        level = [
+            (letters + (s,), m.mul(gen))
+            for letters, m in level
+            for s, gen in rep._signed_gen.items()
+            if not letters or s != -letters[-1]
+        ]
+        out += level
+    return out
 
 
 def _angle_gap(s, t):
@@ -64,7 +81,7 @@ def reference_records(alpha: Word, beta: Word, rep, bound: int) -> list[Intersec
     ax = axis(rep.evaluate(alpha))
     ax_beta = ax if self_case else axis(rep.evaluate(beta))
     found = {}
-    for letters, m_g in rep.ball(bound, include_identity=True):
+    for letters, m_g in ball(rep, bound, include_identity=True):
         translate = Axis(mobius(m_g, ax_beta.repelling), mobius(m_g, ax_beta.attracting),
                          ax_beta.translation_length)
         try:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import lenequiv
-from lenequiv import cli, reports
+from lenequiv import cli, pipeline
 from lenequiv.pipeline import CurvePair
 from lenequiv.reports import SCC_WORD_BOUND_MAX, TRACE_N_MAX, RunConfig, emit, run
 from lenequiv.word_algebra import compose, parse_word
@@ -138,13 +138,13 @@ def test_hypothesis_violation_exits_4(tmp_path, capsys):
 
 def test_verify_not_ok_exits_4(tmp_path, capsys, monkeypatch):
     # negative control: a scrambled right member has a different length
-    build = reports.build_pair_self
+    build = pipeline.build_pair_self
 
     def scrambled(alpha, g, n):
         good = build(alpha, g, n)
         return CurvePair(good.left, compose(good.right, parse_word("b")), n, good.provenance)
 
-    monkeypatch.setattr(reports, "build_pair_self", scrambled)
+    monkeypatch.setattr(pipeline, "build_pair_self", scrambled)
     cfg_data = {
         "surface": {"genus": 0, "boundary_components": 3},
         "task": "verify",

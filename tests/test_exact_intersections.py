@@ -7,6 +7,8 @@ tests go wrong (aBABAb on the pants at bound 10), so the comparison stays
 below them.
 """
 
+import random
+
 import pytest
 from reference_walk import reference_records
 from word_scan import enumerate_reduced_words
@@ -25,6 +27,9 @@ from lenequiv.word_algebra import (
     SurfaceSpec,
     Word,
     cyclic_normal_form,
+    cyclic_reduce,
+    free_reduce,
+    invert,
     is_proper_power,
     parse_word,
     unoriented_class_key,
@@ -160,6 +165,31 @@ def test_counts_and_filling_search_no_keys(pants_rep, monkeypatch):
     monkeypatch.setattr(intersections, "_double_coset_min", forbidden)
     assert exact_count(w("aabab"), w("aabab"), cyclic_order(pants_rep)) == 6
     assert is_filling(w("aabb"), pants_rep, 4)[0] == "yes"
+
+
+@pytest.mark.parametrize("surface", [TORUS, PANTS], ids=["torus", "pants"])
+def test_rotation_ends_are_the_turn_keys_of_every_rotation(surface):
+    # _rotation_ends slices one turn sequence per rotation; here every
+    # rotation's periodic word is keyed letter by letter
+    pos = {x: j for j, x in enumerate(cyclic_order(sample_representation(surface, 0)))}
+    rng = random.Random(15)
+    checked = 0
+    while checked < 300:
+        raw = [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 14))]
+        a = cyclic_reduce(free_reduce(raw)).letters
+        if not a:
+            continue
+        length = len(a) + rng.randint(1, 16)
+        rotations = [a[i:] + a[:i] for i in range(len(a))]
+        plus, minus = intersections._rotation_ends(a, pos, length)
+        assert plus == [
+            intersections._turn_key(intersections._periodic(r, length), pos) for r in rotations
+        ], a
+        assert minus == [
+            intersections._turn_key(intersections._periodic(invert(Word(r)).letters, length), pos)
+            for r in rotations
+        ], a
+        checked += 1
 
 
 # ------------------------------------------------------------ input policing

@@ -6,15 +6,20 @@ grid of boundary points, and freeness/hyperbolicity over word balls.
 """
 
 import math
+import struct
+from collections import Counter
 
 import pytest
+from reference_walk import ball
 
+from lenequiv import fuchsian
 from lenequiv.errors import CertificationError, NonHyperbolicError, UnsupportedRankError
 from lenequiv.fuchsian import (
     SPREAD_FLOOR,
     Arc,
     Representation,
     _build_matrices,
+    _freeness_spot_check,
     _layout_axes,
     _point_at_angle,
     certify_ping_pong,
@@ -173,7 +178,7 @@ def test_certify_fails_for_weak_translation():
 
 def test_ball_freeness_and_hyperbolicity(torus_rep, pants_rep):
     for rep in (torus_rep, pants_rep):
-        for w, m in rep.ball(4):
+        for w, m in ball(rep, 4):
             assert dist_to_plus_minus_identity(m) > 1e-6, w
             assert classify(m) == "hyperbolic", w
 
@@ -182,15 +187,15 @@ def test_ball_freeness_and_hyperbolicity(torus_rep, pants_rep):
 
 
 def test_ball_counts_and_order(torus_rep):
-    words = [w for w, _ in torus_rep.ball(2)]
+    words = [w for w, _ in ball(torus_rep, 2)]
     assert len(words) == 4 + 12
     assert words[:4] == [(1,), (-1,), (2,), (-2,)]
-    assert len(list(torus_rep.ball(2, include_identity=True))) == 17
-    assert list(torus_rep.ball(0, include_identity=True))[0][0] == ()
+    assert len(ball(torus_rep, 2, include_identity=True)) == 17
+    assert ball(torus_rep, 0, include_identity=True)[0][0] == ()
 
 
 def test_ball_matrices_match_evaluate(torus_rep):
-    for w, m in torus_rep.ball(3):
+    for w, m in ball(torus_rep, 3):
         direct = torus_rep.evaluate(Word(w))
         assert m.entries() == pytest.approx(direct.entries(), rel=1e-12, abs=1e-12)
 
@@ -200,10 +205,44 @@ def test_regression_long_ball_products_stay_finite():
     # "determinant must be positive" at length 9: ad - bc of large entries
     # cancels to 0 or below.
     rep = sample_representation(PANTS, 2)
-    for w, m in rep.ball(9):
+    for w, m in ball(rep, 9):
         direct = rep.evaluate(Word(w))
         scale = max(abs(x) for x in direct.entries())
         assert all(abs(x - y) <= 1e-9 * scale for x, y in zip(m.entries(), direct.entries())), w
+
+
+# ------------------------------------------------------------ freeness walk
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_freeness_walk_tests_every_short_product(seed, monkeypatch):
+    # with an infinite threshold every product passes the prefilter and
+    # reaches the distance test, which records it and never fails
+    rep = sample_representation(PANTS if seed else TORUS, seed)
+    tested = []
+
+    def recorder(m):
+        tested.append(struct.pack("<4d", *m))
+        return math.inf
+
+    monkeypatch.setattr(fuchsian, "_FREENESS_EPS", math.inf)
+    monkeypatch.setattr(fuchsian, "dist_to_plus_minus_identity", recorder)
+    _freeness_spot_check(rep)
+    assert len(tested) == 4 + 12 + 36 + 108 + 324 + 972 == 1456
+    assert Counter(tested) == Counter(struct.pack("<4d", *m) for _, m in ball(rep, 6))
+
+
+def test_freeness_walk_rejects_a_non_free_pair(torus_rep):
+    a = torus_rep.matrices[0]
+    with pytest.raises(CertificationError):
+        _freeness_spot_check(Representation(TORUS, (a, a.inv())))
+
+
+def test_representation_keeps_no_words():
+    rep = sample_representation(PANTS, 1)
+    assert set(vars(rep)) == {
+        "surface", "matrices", "seed", "spread", "certificate", "layout", "_signed_gen",
+    }
 
 
 # ------------------------------------------------------- peripheral words etc

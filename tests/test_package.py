@@ -1,12 +1,19 @@
 """The package's public surface: ``lenequiv.__all__``."""
 
 import ast
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 import types
 
+import pytest
+
 import lenequiv
+
+ENGINES = {"lenequiv.sl2", "lenequiv.trace_poly", "lenequiv.fuchsian", "lenequiv.pipeline"}
 
 
 def test_all_names_resolve_and_are_unique():
@@ -45,3 +52,52 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "lenequiv", (path.name, name)
+
+
+def loaded_after(probe: str) -> set:
+    """The lenequiv modules a fresh interpreter holds after running probe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lenequiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = probe + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('lenequiv')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_engine():
+    loaded = loaded_after("import lenequiv.cli")
+    assert "lenequiv.cli" in loaded
+    assert not loaded & ENGINES, loaded & ENGINES
+
+
+@pytest.mark.parametrize(
+    "config, absent",
+    [
+        ({"surface": {"genus": 1, "boundary_components": 1}, "task": "trace-id", "n_range": [1, 5]},
+         "lenequiv.fuchsian"),
+        ({"surface": {"genus": 0, "boundary_components": 3}, "task": "filling",
+          "words": {"w": "aabb"}, "scc_word_bound": 2},
+         "lenequiv.trace_poly"),
+    ],
+    ids=["trace-id", "filling"],
+)
+def test_a_task_loads_only_its_engines(config, absent, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    loaded = loaded_after(
+        "from lenequiv import cli\nassert cli.main(['run', %r, '--out', %r]) == 0" % (str(path), str(out))
+    )
+    assert json.loads(out.read_text())["task"] == config["task"]
+    assert absent not in loaded
+
+
+def test_bracket_names_the_function_whatever_is_imported_first():
+    loaded = loaded_after(
+        "import lenequiv.bracket\n"
+        "import sys, types\n"
+        "assert not isinstance(lenequiv.bracket, types.ModuleType)\n"
+        "assert lenequiv.bracket is sys.modules['lenequiv.bracket'].bracket"
+    )
+    assert "lenequiv.bracket" in loaded

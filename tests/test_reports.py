@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lenequiv import __version__, cli, reports, trace_poly
+from lenequiv import __version__, cli, intersections, pipeline, trace_poly
 from lenequiv.errors import ConfigError
 from lenequiv.reports import Report, RunConfig, emit, load_config, round9, run
 
@@ -217,8 +217,8 @@ def test_bracket_self_payload():
     [
         ("bracket", {"alpha": "ab", "beta": "aabb"}, bracket_module, "exact_intersections"),
         ("bracket-self", {"alpha": "aabab"}, bracket_module, "exact_intersections"),
-        ("pairs", {"alpha": "aabab"}, reports, "exact_intersections"),
-        ("filling", {"w": "aabb"}, reports, "is_filling"),
+        ("pairs", {"alpha": "aabab"}, intersections, "exact_intersections"),
+        ("filling", {"w": "aabb"}, pipeline, "is_filling"),
     ],
     ids=["bracket", "bracket-self", "pairs", "filling"],
 )
@@ -248,13 +248,14 @@ def test_verify_exact_columns_computed_once_per_n(monkeypatch):
         for name in ("check_nonconjugate", "check_equal_length_symbolic", "is_filling", "trace_identity")
     }
     for name in calls:
-        exact = getattr(reports, name)
+        module = trace_poly if name == "trace_identity" else pipeline
+        exact = getattr(module, name)
 
         def counted(*args, name=name, exact=exact):
             calls[name] += 1
             return exact(*args)
 
-        monkeypatch.setattr(reports, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = RunConfig.from_dict({
         "surface": PANTS_SURFACE, "task": "verify", "words": {"alpha": "ab"},
         "seeds": [0, 1, 2], "n_range": [2, 4], "scc_word_bound": 3,
@@ -276,7 +277,7 @@ def test_trace_identity_computed_once_per_run(task, words, monkeypatch):
     # one pass over the whole n_range, and no word goes through the
     # memoized recursion of trace_polynomial
     identity_calls, recursion_calls = [], []
-    identity, recursion = reports.trace_identity, trace_poly._tr
+    identity, recursion = trace_poly.trace_identity, trace_poly._tr
 
     def counted_identity(*args):
         identity_calls.append(args)
@@ -286,7 +287,7 @@ def test_trace_identity_computed_once_per_run(task, words, monkeypatch):
         recursion_calls.append(args)
         return recursion(*args)
 
-    monkeypatch.setattr(reports, "trace_identity", counted_identity)
+    monkeypatch.setattr(trace_poly, "trace_identity", counted_identity)
     monkeypatch.setattr(trace_poly, "_tr", counted_recursion)
     monkeypatch.setattr(trace_poly, "_memo", {})
     cfg = RunConfig.from_dict(

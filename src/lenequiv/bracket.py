@@ -10,7 +10,7 @@ both orders with opposite signs, and the canonical sum is always zero.
 from __future__ import annotations
 
 from .errors import DegenerateInputError
-from .intersections import exact_intersections
+from .intersections import exact_intersections, point_key
 from .word_algebra import (
     CyclicWord,
     Word,
@@ -116,16 +116,17 @@ def bracket_self(alpha: Word, order: tuple[int, ...]) -> FormalSum:
 def equal_term_pairs(alpha: Word, beta: Word, order: tuple[int, ...]):
     """Witness pairs (g, h) of distinct intersection points whose bracket
     terms <alpha * beta^g> and <alpha * beta^h> are conjugate — the seeds
-    for length-equivalent families."""
+    for length-equivalent families.  When alpha or beta is a proper power,
+    several records are one point (intersections.point_key); each point
+    keeps its least witness."""
     _check_distinct_classes(alpha, beta)
-    records = exact_intersections(alpha, beta, order)
-    by_class: dict[CyclicWord, list[Word]] = {}
-    for record in records:
+    by_class: dict[CyclicWord, dict[Word, Word]] = {}
+    for record in exact_intersections(alpha, beta, order):  # sorted by witness
         cls = cyclic_normal_form(compose(alpha, conjugate(beta, record.witness)))
-        by_class.setdefault(cls, []).append(record.witness)
+        by_class.setdefault(cls, {}).setdefault(point_key(record.witness, alpha, beta), record.witness)
     pairs = []
     for cls in sorted(by_class, key=lambda c: word_sort_key(c.letters)):
-        witnesses = sorted(by_class[cls], key=lambda w: word_sort_key(w.letters))
+        witnesses = list(by_class[cls].values())
         for i in range(len(witnesses)):
             for j in range(i + 1, len(witnesses)):
                 assert are_conjugate(

@@ -29,6 +29,7 @@ from .word_algebra import (
     is_proper_power,
     junction_product,
     parse_word,
+    primitive_root,
     word_sort_key,
 )
 
@@ -90,6 +91,14 @@ def mutual_coset_key(h: Word, alpha: Word, beta: Word) -> Word:
     return Word(min(_double_coset_min(h, alpha, beta), key=word_sort_key))
 
 
+def point_key(h: Word, alpha: Word, beta: Word) -> Word:
+    """mutual_coset_key of h over the roots of alpha and beta: one key per
+    point where the two curves meet.  When beta = r^k, the cosets
+    <alpha> h <beta> and <alpha> h r <beta> are two records but one point,
+    passed on two turns of r; a power alpha does the same with its root."""
+    return mutual_coset_key(h, primitive_root(alpha), primitive_root(beta))
+
+
 def _require_cyclically_reduced(w: Word, name: str):
     if w.is_identity:
         raise DegenerateInputError("%s must be a nonempty word" % name)
@@ -102,17 +111,29 @@ def _require_certified(rep):
         raise CertificationError("representation carries no ping-pong certificate")
 
 
-def _check_pair(alpha: Word, beta: Word) -> bool:
-    """Reject inputs with no well-defined records; True in the self case,
-    when beta is alpha's class."""
-    _require_cyclically_reduced(alpha, "alpha")
+def _pair_checker(beta: Word):
+    """The function that rejects an alpha with no well-defined records
+    against beta, and otherwise says whether alpha is beta's class (the self
+    case).  beta's class and its inverse's are normalized once, not once per
+    alpha; only an alpha of beta's length can be either."""
     _require_cyclically_reduced(beta, "beta")
-    self_case = cyclic_normal_form(beta) == cyclic_normal_form(alpha)
-    if self_case and is_proper_power(alpha)[0]:
-        raise DegenerateInputError("alpha must not be a proper power")
-    if not self_case and cyclic_normal_form(beta) == cyclic_normal_form(invert(alpha)):
-        raise DegenerateInputError("beta is conjugate to alpha^-1")
-    return self_case
+    beta_class = cyclic_normal_form(beta)
+    inverse_class = cyclic_normal_form(invert(beta))
+
+    def check(alpha: Word) -> bool:
+        _require_cyclically_reduced(alpha, "alpha")
+        if len(alpha.letters) != len(beta.letters):
+            return False
+        alpha_class = cyclic_normal_form(alpha)
+        if alpha_class == beta_class:
+            if is_proper_power(alpha)[0]:
+                raise DegenerateInputError("alpha must not be a proper power")
+            return True
+        if alpha_class == inverse_class:
+            raise DegenerateInputError("beta is conjugate to alpha^-1")
+        return False
+
+    return check
 
 
 # ----------------------------------------------------------- exact engine
@@ -209,7 +230,7 @@ def _linked_candidates(a: tuple[int, ...], a_ends, b: tuple[int, ...], b_ends):
                 yield i, k, sign
 
 
-def _translate_sign(g: Word, alpha: Word, beta: Word, pos: dict) -> int:
+def _witness_sign(g: Word, alpha: Word, beta: Word, pos: dict) -> int:
     """Crossing sign of A_alpha and g.A_beta, read from their ends: the
     ends of g.A_beta run through g's letters, then beta's period, so
     |g| + |alpha| + |beta| letters decide the order."""
@@ -235,7 +256,7 @@ def exact_counter(beta: Word, order: tuple[int, ...], longest: int):
     each call cuts them to |alpha| + |beta|; so counting many classes
     against one long word builds that word's ends once, not once per class.
     """
-    _require_cyclically_reduced(beta, "beta")
+    check = _pair_checker(beta)
     pos = {x: j for j, x in enumerate(order)}
     b = beta.letters
     b_ends = _rotation_ends(b, pos, len(b) + longest)
@@ -244,7 +265,7 @@ def exact_counter(beta: Word, order: tuple[int, ...], longest: int):
         a = alpha.letters
         if len(a) > longest:
             raise ValueError("alpha has %d letters, more than %d" % (len(a), longest))
-        self_case = _check_pair(alpha, beta)
+        self_case = check(alpha)
         length = len(a) + len(b)
         ends = _ends_at(b_ends, length)
         if self_case:
@@ -271,7 +292,7 @@ def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list
     opposite sign: one key search per +1 candidate, and the record takes
     the sign of its witness's own translate.
     """
-    self_case = _check_pair(alpha, beta)
+    self_case = _pair_checker(beta)(alpha)
     if self_case:
         beta = alpha
     pos = {x: j for j, x in enumerate(order)}
@@ -286,5 +307,5 @@ def exact_intersections(alpha: Word, beta: Word, order: tuple[int, ...]) -> list
             records.append(IntersectionRecord(witness=mutual_coset_key(g, alpha, beta), sign=sign))
         elif sign > 0:
             key = self_coset_key(g, alpha)
-            records.append(IntersectionRecord(witness=key, sign=_translate_sign(key, alpha, alpha, pos)))
+            records.append(IntersectionRecord(witness=key, sign=_witness_sign(key, alpha, alpha, pos)))
     return sorted(records, key=lambda r: word_sort_key(r.witness.letters))

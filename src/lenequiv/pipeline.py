@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from ._records import same_class_equality
 from .errors import DegenerateInputError, HypothesisViolationError
-from .intersections import cyclic_order, exact_count, exact_counter
+from .intersections import cyclic_order, exact_count, exact_counter, point_key
 from .word_algebra import (
     Word,
     are_conjugate,
@@ -63,20 +63,33 @@ def build_pair_self(alpha: Word, g: Word, n: int) -> CurvePair:
     return CurvePair(left, right, n, ("self", alpha, g))
 
 
+def general_family(alpha: Word, beta: Word, g: Word, h: Word):
+    """The function n -> build_pair_general(alpha, beta, g, h, n), with the
+    inputs checked once, not once per n.
+
+    g and h must name distinct points (intersections.point_key): when
+    h = r g s with r, s powers of the roots of alpha and beta, right is
+    left conjugated by r, for every n.  The hypothesis
+    <alpha beta^g> = <alpha beta^h> is re-checked."""
+    if point_key(g, alpha, beta) == point_key(h, alpha, beta):
+        raise DegenerateInputError("degenerate pair: g and h name one intersection point, so left ~ right")
+    beta_g, beta_h = conjugate(beta, g), conjugate(beta, h)
+    if not are_conjugate(compose(alpha, beta_g), compose(alpha, beta_h)):
+        raise HypothesisViolationError("<alpha beta^g> and <alpha beta^h> are not conjugate")
+
+    def pair(n: int) -> CurvePair:
+        if n < 1:
+            raise ValueError("n must be a positive integer")
+        alpha_n = power(alpha, n)
+        return CurvePair(compose(alpha_n, beta_g), compose(alpha_n, beta_h), n, ("general", alpha, beta, g, h))
+
+    return pair
+
+
 def build_pair_general(alpha: Word, beta: Word, g: Word, h: Word, n: int) -> CurvePair:
     """The pair (alpha^n beta^g, alpha^n beta^h) for an equal-term witness
-    pair; re-checks the hypothesis <alpha beta^g> = <alpha beta^h>."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if g.letters == h.letters:
-        raise DegenerateInputError("degenerate pair: g = h gives left = right")
-    term_g = compose(alpha, conjugate(beta, g))
-    term_h = compose(alpha, conjugate(beta, h))
-    if not are_conjugate(term_g, term_h):
-        raise HypothesisViolationError("<alpha beta^g> and <alpha beta^h> are not conjugate")
-    left = compose(power(alpha, n), conjugate(beta, g))
-    right = compose(power(alpha, n), conjugate(beta, h))
-    return CurvePair(left, right, n, ("general", alpha, beta, g, h))
+    pair (g, h) of distinct points; see general_family."""
+    return general_family(alpha, beta, g, h)(n)
 
 
 def check_equal_length_symbolic(pair: CurvePair) -> bool:

@@ -330,14 +330,15 @@ def _verify_pairs(config: RunConfig, rep):
     """(witness, one pair per n in n_range): the self pair from alpha's
     first witness, or the general pair when beta, g and h are all named in
     the config."""
-    from .pipeline import build_pair_general, build_pair_self
+    from .pipeline import build_pair_self, general_family
 
     (alpha,) = _need(config, "alpha")
     lo, hi = config.n_range
     names = config.words
     if {"beta", "g", "h"} <= set(names):
         beta, g, h = names["beta"], names["g"], names["h"]
-        return str(g), [build_pair_general(alpha, beta, g, h, n) for n in range(lo, hi + 1)]
+        family = general_family(alpha, beta, g, h)
+        return str(g), [family(n) for n in range(lo, hi + 1)]
     g = _first_self_record(alpha, rep)[0].witness
     return str(g), [build_pair_self(alpha, g, n) for n in range(lo, hi + 1)]
 

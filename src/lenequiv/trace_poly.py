@@ -2,31 +2,22 @@
 
 Every word w(a, b) has a unique integer polynomial F in the coordinates
 x = tr A, y = tr B, z = tr AB with tr w(A, B) = F(x, y, z) for all
-unit-determinant matrix pairs (A, B).  This module computes F by the
-classical rewriting rules:
+unit-determinant matrix pairs (A, B) (Fricke; Horowitz, CPAM 1972).
+trace_polynomial computes F as the trace of one product of the generic pair
 
-    tr(U v^-1) = tr(U) tr(v) - tr(U v)        (inverse elimination)
-    tr(s s T)  = tr(s) tr(s T) - tr(T)        (doubled-letter split)
-    tr(w)      = tr of any cyclic rotation, and tr(w) = tr(w^-1)
+    A = [[x, -1], [1, 0]],    B = [[0, t], [-1/t, y]]
 
-Each step strictly decreases (letter count, inverse-letter count) in
-lexicographic order, so the reduction terminates.  The recursion runs on
-the text of a word ("aB" for a b^-1): trace_polynomial converts the Word
-once, the inverse of a spelling s is s[::-1].swapcase(), and the first
-inverse letter and the first doubled letter are found by str.find.
-
-Results are memoized once per unoriented conjugacy class (w and w^-1 have
-the same polynomial), keyed on the text of the cyclic normal form of
-whichever of the two was computed first.  A lookup takes any freely reduced
-spelling and first tries the spelling's own text: every key is the text of
-a canonical word, so a spelling equal to a key is that word and the hit
-costs one text key.  Only a miss computes the cyclic normal form to try the
-class's key, and then normalizes the inverse to try the key of the other
-orientation.
+over R = Z[x, y, z][t] / (t^2 - z t + 1), in which 1/t = z - t: tr A = x,
+tr B = y and tr AB = t + 1/t = z.  Every point of C^3 is the character of
+some pair, so the trace of w(A, B) is F itself and its t-part is 0.  An
+entry p0 + p1 t of R is held as the pair (p0, p1); a product by t is
+-p1 + (p0 + z p1) t and a product by 1/t is (z p0 + p1) - p0 t.  The walk
+multiplies the two rows of the identity on the right by one generator per
+letter, in O(|w| * terms) polynomial steps.
 
 trace_identity builds the polynomials of a^n b and b^n a for a whole range
-of n in one pass of the doubled-letter rule, without the recursion or the
-memo.
+of n in one pass of the doubled-letter rule
+tr(s s T) = tr(s) tr(s T) - tr(T), with no matrix walk per n.
 
 A polynomial stores each monomial x^i y^j z^k under one int that packs the
 fields (j, k, i + j + k), the degree in the low field: the product of two
@@ -39,7 +30,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import UnsupportedRankError
-from .word_algebra import _RANK_TEXT, Word, _least_rotation, letters_to_str
+from .word_algebra import Word, cyclic_reduce
 
 _VAR_NAMES = ("x", "y", "z")
 _RANK_TWO_LETTERS = frozenset((1, -1, 2, -2))
@@ -219,8 +210,6 @@ _Y = TracePolynomial.variable(1)
 _Z = TracePolynomial.variable(2)
 _TWO = TracePolynomial.constant(2)
 
-_memo: dict[str, TracePolynomial] = {}
-
 
 def chebyshev_power(n: int, variable_index: int = 0) -> TracePolynomial:
     """p_n with tr(M^n) = p_n(tr M): p_0 = 2, p_1 = x, p_{n+1} = x p_n - p_{n-1}."""
@@ -235,73 +224,41 @@ def chebyshev_power(n: int, variable_index: int = 0) -> TracePolynomial:
     return cur
 
 
+# A row [m0, m1] over R times a generator, for each signed letter:
+#   A: [m0 x + m1, -m0]          A^-1: [-m1, m0 + m1 x]
+#   B: [-m1/t, m0 t + m1 y]      B^-1: [m0 y + m1/t, -m0 t]
+# with m = m[0] + m[1] t, m t = -m[1] + (m[0] + z m[1]) t and
+# m/t = (z m[0] + m[1]) - m[0] t.
+_ROW_TIMES = {
+    1: lambda m0, m1: ((_X * m0[0] + m1[0], _X * m0[1] + m1[1]), (-m0[0], -m0[1])),
+    -1: lambda m0, m1: ((-m1[0], -m1[1]), (m0[0] + _X * m1[0], m0[1] + _X * m1[1])),
+    2: lambda m0, m1: (
+        (-m1[1] - _Z * m1[0], m1[0]),
+        (_Y * m1[0] - m0[1], m0[0] + _Z * m0[1] + _Y * m1[1]),
+    ),
+    -2: lambda m0, m1: (
+        (_Y * m0[0] + _Z * m1[0] + m1[1], _Y * m0[1] - m1[0]),
+        (m0[1], -m0[0] - _Z * m0[1]),
+    ),
+}
+
+
 def trace_polynomial(w: Word) -> TracePolynomial:
-    """The Fricke polynomial of a word over the two-letter alphabet {a, b}."""
+    """The Fricke polynomial of a word over the two-letter alphabet {a, b}:
+    the trace of w(A, B) for the generic pair of the module docstring."""
     if not _RANK_TWO_LETTERS.issuperset(w.letters):
         raise UnsupportedRankError("trace coordinates implemented for rank 2 only")
-    return _tr(letters_to_str(w.letters))
-
-
-def _find_first(s: str, p: str, q: str) -> int:
-    """Index of the first occurrence of p or of q in s, or -1."""
-    i, j = s.find(p), s.find(q)
-    return j if i < 0 or 0 <= j < i else i
-
-
-def _cyclic_normal_text(s: str) -> str:
-    """Text of the cyclic normal form of the word s, as
-    word_algebra.cyclic_normal_form: cyclically reduce, then rotate to the
-    least rotation under a < A < b < B."""
-    i, j = 0, len(s)
-    while j - i >= 2 and s[i] == s[j - 1].swapcase():
-        i += 1
-        j -= 1
-    s = s[i:j]
-    if not s:
-        return s
-    k = _least_rotation(s.translate(_RANK_TEXT))
-    return s[k:] + s[:k]
-
-
-def _tr(s: str) -> TracePolynomial:
-    """Fricke polynomial of the text of any freely reduced spelling of a class."""
-    if len(s) > 1:  # shorter spellings are already canonical
-        hit = _memo.get(s)
-        if hit is not None:  # the spelling is literally a memoized canonical word
-            return hit
-        s = _cyclic_normal_text(s)
-    n = len(s)
-    if n == 0:
-        return _TWO
-    if n == 1:
-        return _X if s in "aA" else _Y
-    hit = _memo.get(s)
-    if hit is not None:
-        return hit
-    # one entry per unoriented class, under whichever of w, w^-1 came first
-    inverse_key = _cyclic_normal_text(s[::-1].swapcase())
-    hit = _memo.get(inverse_key)
-    if hit is not None:
-        return hit
-
-    neg = _find_first(s, "A", "B")
-    if neg >= 0:
-        # rotate the inverse letter to the end: w ~ U v^-1
-        rot = s[neg + 1 :] + s[: neg + 1]
-        u, v = rot[:-1], rot[-1].lower()
-        # U v cancels at the junction when U also ends in v^-1
-        out = _tr(u) * _tr(v) - _tr(u[:-1] if u[-1] == rot[-1] else u + v)
-    else:
-        dbl = _find_first(s + s[0], "aa", "bb")
-        if dbl >= 0:
-            rot = s[dbl:] + s[:dbl]  # starts with a doubled letter
-            out = _tr(rot[0]) * _tr(rot[1:]) - _tr(rot[2:])
-        else:
-            # positive, no doubled letter (cyclically): alternating (ab)^m
-            out = chebyshev_power(n // 2, 2)
-    if inverse_key not in _memo:  # the recursion can reach w^-1 (w = AB: ab)
-        _memo[s] = out
-    return out
+    zero = TracePolynomial()
+    one = TracePolynomial.constant(1)
+    # the rows of the identity; each entry p0 + p1 t of R is the pair (p0, p1)
+    rows = [((one, zero), (zero, zero)), ((zero, zero), (one, zero))]
+    for letter in cyclic_reduce(w).letters:  # conjugation keeps the trace
+        step = _ROW_TIMES[letter]
+        rows = [step(*m) for m in rows]
+    (p0, p1), (q0, q1) = rows[0][0], rows[1][1]
+    if not (p1 + q1).is_zero():
+        raise ArithmeticError("trace of %s has a nonzero t-part" % w)
+    return p0 + q0
 
 
 def trace_identity(lo: int, hi: int) -> tuple[list[bool], TracePolynomial, TracePolynomial]:

@@ -307,6 +307,18 @@ def is_conjugate_to_inverse(u: Word, v: Word) -> bool:
     return are_conjugate(u, invert(v))
 
 
+def primitive_root(u: Word) -> Word:
+    """The word r with u = r^k for the largest k: u itself when u is not a
+    proper power.  A power of a conjugate c r c^-1 keeps the c letters."""
+    core = cyclic_reduce(u).letters
+    n = len(core)
+    for d in range(1, n):
+        if not n % d and core == core[d:] + core[:d]:
+            i = (len(u.letters) - n) // 2
+            return Word(u.letters[:i] + core[:d] + u.letters[i + n :])
+    return u
+
+
 def is_proper_power(u: Word) -> tuple[bool, Word, int]:
     """Least root r and maximal k with u conjugate to r^k (as cyclic words).
 
@@ -315,14 +327,10 @@ def is_proper_power(u: Word) -> tuple[bool, Word, int]:
     """
     if u.is_identity:
         raise DegenerateInputError("identity word has no root")
-    cyc = cyclic_normal_form(u).letters
-    n = len(cyc)
-    for d in range(1, n):
-        if n % d:
-            continue
-        if cyc == cyc[d:] + cyc[:d]:
-            return True, Word(cyc[:d]), n // d
-    return False, Word(cyc), 1
+    cyc = Word(cyclic_normal_form(u).letters)
+    r = primitive_root(cyc)
+    k = len(cyc.letters) // len(r.letters)
+    return k > 1, r, k
 
 
 def word_sort_key(letters: tuple[int, ...]) -> tuple:

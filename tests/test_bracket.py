@@ -11,7 +11,7 @@ from reference_walk import reference_records
 from lenequiv.bracket import FormalSum, bracket, bracket_self, bracket_self_terms, equal_term_pairs
 from lenequiv.errors import DegenerateInputError
 from lenequiv.fuchsian import sample_representation
-from lenequiv.intersections import cyclic_order
+from lenequiv.intersections import cyclic_order, exact_intersections
 from lenequiv.word_algebra import (
     SurfaceSpec,
     are_conjugate,
@@ -202,6 +202,28 @@ def test_equal_term_pairs_pants_seed(pants_rep):
 def test_equal_term_pairs_empty_when_classes_split(torus_rep):
     assert equal_term_pairs(w("a"), w("b"), cyclic_order(torus_rep)) == []
     assert equal_term_pairs(w("a"), w("abb"), cyclic_order(torus_rep)) == []
+
+
+@pytest.mark.parametrize(
+    "layout, alpha, beta, records",
+    [("torus", "ab", "aBaB", 4), ("pants", "aabb", "abab", 8)],
+)
+def test_equal_term_pairs_skip_records_of_one_point(layout, alpha, beta, records, pants_rep, torus_rep):
+    # beta = r^2: the records <alpha> g <beta> and <alpha> g r <beta> are
+    # one point, passed on two turns of r, and such a pair's members are
+    # one class for every n; the bracket still reads every record
+    order = cyclic_order(pants_rep if layout == "pants" else torus_rep)
+    assert len(exact_intersections(w(alpha), w(beta), order)) == records
+    assert equal_term_pairs(w(alpha), w(beta), order) == []
+    assert bracket(w(alpha), w(beta), order).terms  # powers stay accepted
+
+
+def test_equal_term_pairs_keep_two_points_and_drop_one(pants_rep):
+    # (a, aa) of (ab, AABB) are two points; '' and b are one point of ab
+    # and BB, whose root is B
+    order = cyclic_order(pants_rep)
+    assert [(str(g), str(h)) for g, h in equal_term_pairs(w("ab"), w("AABB"), order)] == [("a", "aa")]
+    assert equal_term_pairs(w("ab"), w("BB"), order) == []
 
 
 def test_equal_term_pairs_rejects_same_class(pants_rep):

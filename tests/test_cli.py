@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lenequiv
 from lenequiv import cli, pipeline
 from lenequiv.pipeline import CurvePair
-from lenequiv.reports import SCC_WORD_BOUND_MAX, TRACE_N_MAX, RunConfig, emit, run
+from lenequiv.reports import SCC_WORD_BOUND_MAX, TASKS, TRACE_N_MAX, RunConfig, emit, run
 from lenequiv.word_algebra import compose, parse_word
 
 
@@ -111,6 +114,19 @@ def test_degenerate_input_exits_2(tmp_path, capsys):
     }
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_with_one_point_named_twice_exits_2(tmp_path, capsys):
+    # b lies in <B>, so g = '' and h = b name one point of ab and BB, and
+    # every row's members were one class; verify said ok
+    cfg = {
+        "surface": {"genus": 0, "boundary_components": 3},
+        "task": "verify",
+        "words": {"alpha": "ab", "beta": "BB", "g": "", "h": "b"},
+        "n_range": [1, 3],
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "one intersection point" in capsys.readouterr().err
 
 
 def test_unsupported_surface_exits_2(tmp_path, capfd):
@@ -279,3 +295,47 @@ def test_main_module_import_does_not_run_the_cli():
 def test_run_subcommand_required():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+_fuzz_word = st.text(alphabet="abAB", max_size=8)
+
+# mostly configs that reach the engines, some that the config check refuses
+_fuzz_config = st.fixed_dictionaries(
+    {
+        "surface": st.sampled_from([
+            {"genus": 0, "boundary_components": 3},
+            {"genus": 1, "boundary_components": 1},
+            {"genus": 2, "boundary_components": 1},
+        ]),
+        "task": st.sampled_from(TASKS),
+        "words": st.fixed_dictionaries(
+            {"alpha": _fuzz_word, "beta": _fuzz_word, "w": _fuzz_word},
+            optional={"g": _fuzz_word, "h": _fuzz_word},
+        ),
+        "seeds": st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=2),
+        "n_range": st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=2).map(sorted)
+        | st.lists(st.integers(min_value=-1, max_value=20), min_size=2, max_size=2),
+    },
+    optional={
+        "scc_word_bound": st.integers(min_value=0, max_value=4),
+        "tol": st.sampled_from([0.0, 1e-9, 1e-3]),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_fuzz_config)
+def test_random_configs_exit_0_2_or_4(cfg):
+    # every failure maps to a documented exit code, never to a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, output_path=os.path.join(tmp, "report.json"))
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main(["run", path])
+        assert code in (0, 2, 4)
+        if code == 0:
+            assert os.path.exists(cfg["output_path"])

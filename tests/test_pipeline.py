@@ -103,6 +103,14 @@ def test_build_pair_general_seed(pants_rep):
 def test_build_pair_general_rejects_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
         build_pair_general(w("ab"), w("aab"), w("a"), w("a"), 2)
+    # b is in <B>: g and h name one point of ab and BB
+    with pytest.raises(DegenerateInputError):
+        build_pair_general(w("ab"), w("BB"), w(""), w("b"), 2)
+    # on the torus order (ab, aBaB) has the records '' and aB, one point
+    with pytest.raises(DegenerateInputError):
+        build_pair_general(w("ab"), w("aBaB"), w(""), w("aB"), 2)
+    # a real pair of two points stays: (a, aa) of (ab, AABB)
+    assert build_pair_general(w("ab"), w("AABB"), w("a"), w("aa"), 2).n == 2
     with pytest.raises(HypothesisViolationError):
         build_pair_general(w("ab"), w("aab"), w("a"), w("ba"), 2)
     with pytest.raises(ValueError):
@@ -317,6 +325,26 @@ def test_exact_counter_matches_exact_count(torus_rep):
         assert crossings(w(z)) == exact_count(w(z), beta, order), z
     with pytest.raises(ValueError):
         crossings(w("aaaabbbbb"))  # longer than the ends were built for
+
+
+def test_exact_counter_normalizes_beta_once(torus_rep, monkeypatch):
+    # beta and beta^-1 are normalized when the counter is built; a call
+    # normalizes alpha alone, and only when alpha has beta's length
+    order = cyclic_order(torus_rep)
+    beta = w("aabaBAbb")
+    calls = []
+    normalize = intersections.cyclic_normal_form
+    monkeypatch.setattr(intersections, "cyclic_normal_form", lambda u: calls.append(u) or normalize(u))
+    crossings = exact_counter(beta, order, 8)
+    assert calls == [beta, invert(beta)]
+    for z in ("a", "aB", "abb", "abAB", "abaBAbba", "bbaabaBA", "aabaBAbb", "BBabAbAA"):
+        crossings(w(z))
+    assert calls[2:] == [w("abaBAbba"), w("bbaabaBA"), w("aabaBAbb"), w("BBabAbAA")]
+    # the rejections stay: beta^-1's class, and a power in the self case
+    with pytest.raises(DegenerateInputError):
+        exact_counter(w("aab"), order, 3)(w("ABA"))
+    with pytest.raises(DegenerateInputError):
+        exact_counter(w("abab"), order, 4)(w("baba"))
 
 
 def _filling_classes(rep, max_len):

@@ -274,29 +274,27 @@ def test_verify_exact_columns_computed_once_per_n(monkeypatch):
     ids=["trace-id", "verify"],
 )
 def test_trace_identity_computed_once_per_run(task, words, monkeypatch):
-    # one pass over the whole n_range, and no word goes through the
-    # memoized recursion of trace_polynomial
-    identity_calls, recursion_calls = [], []
-    identity, recursion = trace_poly.trace_identity, trace_poly._tr
+    # one pass over the whole n_range, and no word goes through the matrix
+    # walk of trace_polynomial
+    identity_calls, walk_calls = [], []
+    identity, walk = trace_poly.trace_identity, trace_poly.trace_polynomial
 
     def counted_identity(*args):
         identity_calls.append(args)
         return identity(*args)
 
-    def counted_recursion(*args):
-        recursion_calls.append(args)
-        return recursion(*args)
+    def counted_walk(*args):
+        walk_calls.append(args)
+        return walk(*args)
 
     monkeypatch.setattr(trace_poly, "trace_identity", counted_identity)
-    monkeypatch.setattr(trace_poly, "_tr", counted_recursion)
-    monkeypatch.setattr(trace_poly, "_memo", {})
+    monkeypatch.setattr(trace_poly, "trace_polynomial", counted_walk)
     cfg = RunConfig.from_dict(
         {"surface": PANTS_SURFACE, "task": task, "words": words, "seeds": [0, 1], "n_range": [2, 30]}
     )
     payload = run(cfg).payload
     assert identity_calls == [(2, 30)]
-    assert recursion_calls == []
-    assert trace_poly._memo == {}
+    assert walk_calls == []
     rows = payload["rows"]
     assert [r["n"] for r in rows] == list(range(2, 31)) * (2 if task == "verify" else 1)
     assert payload["all_hold" if task == "trace-id" else "symbolic_ok"] is True

@@ -8,7 +8,6 @@ words of 100 and 501 letters.
 """
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +127,7 @@ def test_trace_polynomial_base_cases():
     assert tp("b") == Y
     assert tp("ab") == Z
     assert tp("ba") == Z
+    assert tp("AB") == tp("BA") == Z  # w and w^-1 share a polynomial
 
 
 def test_trace_polynomial_hand_cases():
@@ -136,6 +136,17 @@ def test_trace_polynomial_hand_cases():
     assert tp("abb") == Y * Z - X
     assert tp("abab") == Z * Z - TracePolynomial.constant(2)
     assert str(tp("abAB")) == "-x*y*z + x^2 + y^2 + z^2 - 2"
+
+
+def test_a_trace_with_a_t_part_is_refused(monkeypatch):
+    # with B = diag(t, y) the walk's trace t + y is no Fricke polynomial
+    def times_diag(m0, m1):
+        return (-m0[1], m0[0] + Z * m0[1]), (Y * m1[0], Y * m1[1])
+
+    monkeypatch.setattr(trace_poly, "_ROW_TIMES", {**trace_poly._ROW_TIMES, 2: times_diag})
+    with pytest.raises(ArithmeticError):
+        tp("b")
+    assert tp("a") == X
 
 
 def test_trace_polynomial_rejects_rank_three_letters():
@@ -200,13 +211,9 @@ def test_fricke_polynomial_matches_exact_integer_trace(letters, shears):
     w = free_reduce(letters)
     p = trace_polynomial(w)
     assert p.evaluate(*_at_point(a, b)) == sl2z.trace(w.letters, a, b)
-    # one memo entry per unoriented class: rotations and the inverse hit it
-    size = len(trace_poly._memo)
     rotated = free_reduce(w.letters[1:] + w.letters[:1])
     assert trace_polynomial(rotated) == p
     assert trace_polynomial(invert(w)) == p
-    assert trace_polynomial(w) == p
-    assert len(trace_poly._memo) == size
 
 
 # a^500 b and b^500 a reach degree 501, the largest the CLI's n_range allows;
@@ -225,20 +232,6 @@ def test_long_word_polynomial_matches_exact_integer_trace(text):
         assert p.evaluate(*_at_point(a, b)) == sl2z.trace(w.letters, a, b)
 
 
-def test_long_powers_fit_the_default_recursion_limit(monkeypatch):
-    # from a cold memo a^500 b takes one _tr frame per letter peeled, about
-    # 500 in all: a second frame per level would pass CPython's default 1000
-    monkeypatch.setattr(trace_poly, "_memo", {})
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        for text in LONG_WORDS[:2]:
-            trace_poly._memo.clear()
-            assert not trace_polynomial(parse_word(text)).is_zero()
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def test_degrees_past_the_packed_fields_are_refused():
     top = trace_poly._FIELD  # 1023
     assert chebyshev_power(top, variable_index=2).terms[(0, 0, top)] == 1
@@ -254,34 +247,36 @@ def test_degrees_past_the_packed_fields_are_refused():
         TracePolynomial({(-1, 0, 0): 1})
 
 
-def test_memo_keeps_one_entry_per_unoriented_class():
-    # computing AB reaches ab, the class of its inverse, on the way
-    trace_poly._memo.clear()
-    assert tp("AB") == Z
-    assert set(trace_poly._memo) == {"ab", "aB"}
-    assert tp("ab") == tp("ba") == tp("BA") == Z
-    assert len(trace_poly._memo) == 2
-
-
 @pytest.mark.parametrize("text", ["aabaB", "abAB", "aaBBabb"])
-def test_every_spelling_of_a_class_hits_its_memo_entry(text, monkeypatch):
+def test_every_spelling_of_a_class_hits_its_memo_entry(text):
+    # every rotation of w and of w^-1, and conjugates that are not
+    # cyclically reduced, spell one unoriented class and so one polynomial
     w = parse_word(text)
     p = trace_polynomial(w)
-    (key,) = [k for k, entry in trace_poly._memo.items() if entry is p]
-    size = len(trace_poly._memo)
     n = len(w)
     spellings = [Word(u.letters[i:] + u.letters[:i]) for u in (w, invert(w)) for i in range(n)]
-    # conjugates that are not cyclically reduced
     spellings += [conjugate(u, parse_word(g)) for u in (w, invert(w)) for g in ("b", "BA", "bbA", "aBa")]
     assert any(s.letters[0] == -s.letters[-1] for s in spellings)
     for s in spellings:
-        assert trace_polynomial(s) is p, str(s)
-    assert len(trace_poly._memo) == size
-    # the key's own spelling is found by its text, with no normal form computed
-    calls = []
-    monkeypatch.setattr(trace_poly, "_cyclic_normal_text", lambda s: calls.append(s))
-    assert trace_polynomial(parse_word(key)) is p
-    assert calls == []
+        assert trace_polynomial(s) == p, str(s)
+
+
+def test_alternating_inverse_letters_match_exact_integer_traces():
+    # (aB)^m took time exponential in m by inverse-letter rewriting: 2 s at
+    # m = 14, and no answer within 120 s at m = 50
+    rng = random.Random(14)
+    u = X * Y - Z  # tr(aB)
+    prev, cur = TracePolynomial.constant(2), u
+    for m in range(2, 51):
+        prev, cur = cur, u * cur - prev  # tr((aB)^m), a Chebyshev polynomial in tr(aB)
+        if m not in (14, 50):
+            continue
+        w = Word((1, -2) * m)
+        p = trace_polynomial(w)
+        assert p == cur, m
+        for _ in range(3):
+            a, b = sl2z.random_pair(rng)
+            assert p.evaluate(*_at_point(a, b)) == sl2z.trace(w.letters, a, b)
 
 
 # ----------------------------------------------------------- the identity
@@ -296,10 +291,9 @@ def test_power_product_traces_agree_on_equal_trace_locus():
         trace_identity(5, 4)
 
 
-def test_trace_identity_agrees_with_the_recursion(monkeypatch):
-    # the one-pass rule and the memoized recursion are two routes to the
-    # same Fricke polynomials
-    monkeypatch.setattr(trace_poly, "_memo", {})
+def test_trace_identity_agrees_with_the_recursion():
+    # the one-pass doubled-letter rule and the matrix walk of
+    # trace_polynomial are two routes to the same Fricke polynomials
     for n in range(1, 61):
         holds, left, right = trace_identity(n, n)
         assert holds == [True]

@@ -21,6 +21,7 @@ from lenequiv.word_algebra import (
     letters_to_str,
     parse_word,
     power,
+    primitive_root,
     unoriented_class_key,
     word_sort_key,
     word_str,
@@ -279,6 +280,25 @@ def test_is_proper_power_conjugated_power():
 def test_is_proper_power_identity_raises():
     with pytest.raises(DegenerateInputError):
         is_proper_power(Word(()))
+
+
+def test_primitive_root_is_the_root_itself_not_a_conjugate():
+    # is_proper_power reads its root off the cyclic normal form; the
+    # primitive root keeps the word's own rotation and conjugator
+    assert str(primitive_root(parse_word("baba"))) == "ba"
+    assert str(primitive_root(parse_word("BB"))) == "B"
+    assert str(primitive_root(parse_word("baBaBB"))) == "baBB"  # b (aB)^2 b^-1
+    assert str(primitive_root(parse_word("aabb"))) == "aabb"
+    assert primitive_root(Word(())) == Word(())
+
+
+@given(letters_st, st.integers(min_value=2, max_value=4))
+def test_primitive_root_powers_back_to_the_word(raw, k):
+    w = free_reduce(raw)
+    r = primitive_root(w)
+    assert primitive_root(r) == r
+    assert power(r, is_proper_power(w)[2] if w.letters else 1) == w
+    assert primitive_root(power(w, k)) == r
 
 
 @given(letters_st, st.integers(min_value=2, max_value=4))

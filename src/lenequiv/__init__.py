@@ -4,7 +4,8 @@ Exact free-group word algebra, certified Fuchsian sampling, Fricke trace
 polynomials, exact geodesic intersections, and the pair-construction
 pipeline, behind a deterministic reporting CLI.
 
-Only the error types and the bracket engine are imported with the package;
+Only the error types and the bracket module are imported with the package,
+and the bracket functions load the intersection engine on their first call;
 every other public name loads its module on first use.
 """
 

@@ -10,7 +10,6 @@ both orders with opposite signs, and the canonical sum is always zero.
 from __future__ import annotations
 
 from .errors import DegenerateInputError
-from .intersections import exact_intersections, point_key
 from .word_algebra import (
     CyclicWord,
     Word,
@@ -21,6 +20,10 @@ from .word_algebra import (
     invert,
     word_sort_key,
 )
+
+# Each function that walks intersection records imports the engine in its
+# own body, so importing the package (which binds `bracket`) loads, and
+# without cached bytecode compiles, no intersection code.
 
 
 class FormalSum:
@@ -87,6 +90,8 @@ def _check_distinct_classes(alpha: Word, beta: Word):
 def bracket(alpha: Word, beta: Word, order: tuple[int, ...]) -> FormalSum:
     """Sum of sign * <alpha * beta^h> over intersection records (h, sign),
     on the surfaces whose tree has this cyclic order."""
+    from .intersections import exact_intersections
+
     _check_distinct_classes(alpha, beta)
     return FormalSum.fold(
         (cyclic_normal_form(compose(alpha, conjugate(beta, record.witness))), record.sign)
@@ -101,6 +106,8 @@ def bracket_self_terms(alpha: Word, order: tuple[int, ...]):
     (+sign, <alpha * alpha^g>) and (-sign, <alpha^g * alpha>); the two
     classes are conjugate, so they cancel in the canonical sum.
     """
+    from .intersections import exact_intersections
+
     terms = []
     for record in exact_intersections(alpha, alpha, order):
         conj_copy = conjugate(alpha, record.witness)
@@ -119,6 +126,8 @@ def equal_term_pairs(alpha: Word, beta: Word, order: tuple[int, ...]):
     for length-equivalent families.  When alpha or beta is a proper power,
     several records are one point (intersections.point_key); each point
     keeps its least witness."""
+    from .intersections import exact_intersections, point_key
+
     _check_distinct_classes(alpha, beta)
     by_class: dict[CyclicWord, dict[Word, Word]] = {}
     for record in exact_intersections(alpha, beta, order):  # sorted by witness

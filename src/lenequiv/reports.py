@@ -21,15 +21,17 @@ from .word_algebra import SPREAD_FLOOR, SurfaceSpec, Word, parse_word
 
 # Each task imports the engines it runs in its own body, so a run loads (and,
 # without cached bytecode, compiles) only those: trace-id never loads the
-# sampler, filling never loads the Fricke polynomials.
+# sampler or the intersection engine, filling never loads the Fricke
+# polynomials.
 
 TASKS = ("bracket", "bracket-self", "pairs", "verify", "trace-id", "filling", "sample-reps")
 
 # trace-id and verify check the trace identity for every n in n_range in
 # one pass, at O(n) work per n, and trace-id prints the polynomials of a^n b
 # and b^n a at the top of the range, about n terms each; so the cap bounds
-# report size and run time: trace-id at n = 500 takes about 0.1 s in
-# process and prints about 114 kB of JSON
+# report size and run time: trace-id at n = 500 takes about 0.075 s in
+# process (run and emit, on a 2-CPU x86-64 host under CPython 3.11) and
+# prints about 114 kB of JSON
 TRACE_N_MAX = 500
 
 # filling prints a table that counts w against every simple class of up to
@@ -565,6 +567,9 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        # a path with a NUL byte, bytes that are not UTF-8, text that is not
+        # JSON, or JSON past the parser's limits: nesting deeper than the
+        # recursion limit, or an integer of more digits than int() takes
+        raise ConfigError("config %s is not readable JSON: %s" % (path, exc)) from exc
     return RunConfig.from_dict(data)

@@ -22,7 +22,10 @@ tr(s s T) = tr(s) tr(s T) - tr(T), with no matrix walk per n.
 A polynomial stores each monomial x^i y^j z^k under one int that packs the
 fields (j, k, i + j + k), the degree in the low field: the product of two
 monomials is the sum of their keys, and y := x clears the j field.
-Degrees up to 1023 fit; a product past that raises ValueError.
+Degrees up to 1023 fit; a product past that raises ValueError.  Each
+polynomial carries an upper bound on its degree, derived from its operands
+at no cost, so the guard reads two bounds per product and scans the terms
+for their exact degrees only when the bounds pass 1023.
 """
 
 from __future__ import annotations
@@ -63,10 +66,16 @@ def _degree(p: "TracePolynomial") -> int:
     return max(map(_FIELD.__and__, p._terms), default=0)
 
 
-def _check_degree(p: "TracePolynomial", q: "TracePolynomial") -> None:
-    """Refuse a product of degree past _FIELD, which packed keys cannot hold."""
-    if _degree(p) + _degree(q) > _FIELD:
-        raise ValueError("polynomial degree past %d" % _FIELD)
+def _check_degree(p: "TracePolynomial", q: "TracePolynomial") -> int:
+    """A degree bound for p * q; refuse a product of degree past _FIELD,
+    which packed keys cannot hold.  The carried bounds decide in O(1)
+    unless they pass _FIELD; the exact degrees then decide."""
+    deg = p._deg + q._deg
+    if deg > _FIELD:
+        deg = _degree(p) + _degree(q)
+        if deg > _FIELD:
+            raise ValueError("polynomial degree past %d" % _FIELD)
+    return deg
 
 
 class TracePolynomial:
@@ -76,17 +85,21 @@ class TracePolynomial:
     view in that form.  Arithmetic runs on the packed keys.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, terms=None):
         # packed key -> coefficient; a coefficient is never zero
         self._terms: dict[int, int] = {_pack(e): c for e, c in terms.items() if c} if terms else {}
+        # an upper bound on the total degree, at most _FIELD; exact here
+        self._deg = _degree(self)
 
     @classmethod
-    def _of(cls, packed: dict[int, int]) -> "TracePolynomial":
-        """The polynomial of a packed mapping with no zero coefficient."""
+    def _of(cls, packed: dict[int, int], deg: int) -> "TracePolynomial":
+        """The polynomial of a packed mapping with no zero coefficient and
+        degree at most deg."""
         out = cls.__new__(cls)
         out._terms = packed
+        out._deg = deg
         return out
 
     @property
@@ -112,7 +125,7 @@ class TracePolynomial:
                 out[e] = c
             else:
                 del out[e]
-        return TracePolynomial._of(out)
+        return TracePolynomial._of(out, max(self._deg, other._deg))
 
     def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
         out = self._terms.copy()
@@ -123,32 +136,32 @@ class TracePolynomial:
                 out[e] = c
             else:
                 del out[e]
-        return TracePolynomial._of(out)
+        return TracePolynomial._of(out, max(self._deg, other._deg))
 
     def __neg__(self) -> "TracePolynomial":
-        return TracePolynomial._of({e: -c for e, c in self._terms.items()})
+        return TracePolynomial._of({e: -c for e, c in self._terms.items()}, self._deg)
 
     def __mul__(self, other) -> "TracePolynomial":
         if isinstance(other, int):
             if not other:
                 return TracePolynomial()
-            return TracePolynomial._of({e: c * other for e, c in self._terms.items()})
-        _check_degree(self, other)
+            return TracePolynomial._of({e: c * other for e, c in self._terms.items()}, self._deg)
+        deg = _check_degree(self, other)
         mono, poly = (self, other) if len(self._terms) == 1 else (other, self)
         if len(mono._terms) == 1:
             # a monomial shifts keys one-to-one: nothing to sum, and no
             # product of nonzero coefficients is zero
             ((m, cm),) = mono._terms.items()
             if cm == 1:  # a bare x, y or z: keys shift, coefficients stay
-                return TracePolynomial._of({e + m: c for e, c in poly._terms.items()})
-            return TracePolynomial._of({e + m: c * cm for e, c in poly._terms.items()})
+                return TracePolynomial._of({e + m: c for e, c in poly._terms.items()}, deg)
+            return TracePolynomial._of({e + m: c * cm for e, c in poly._terms.items()}, deg)
         out: dict[int, int] = {}
         get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        return TracePolynomial._of({e: c for e, c in out.items() if c})
+        return TracePolynomial._of({e: c for e, c in out.items() if c}, deg)
 
     __rmul__ = __mul__
 
@@ -169,13 +182,13 @@ class TracePolynomial:
         # x^i y^j z^k -> x^(i+j) z^k, of the same degree
         out = {e & _CLEAR_Y: c for e, c in self._terms.items()}
         if len(out) == len(self._terms):
-            return TracePolynomial._of(out)  # no two terms merged, so no sum to take
+            return TracePolynomial._of(out, self._deg)  # no two terms merged, so no sum to take
         out = {}
         get = out.get
         for e, c in self._terms.items():
             e &= _CLEAR_Y
             out[e] = get(e, 0) + c
-        return TracePolynomial._of({e: c for e, c in out.items() if c})
+        return TracePolynomial._of({e: c for e, c in out.items() if c}, self._deg)
 
     def sorted_terms(self):
         # graded lex, highest first

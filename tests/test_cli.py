@@ -78,12 +78,38 @@ def test_task_flag_override(tmp_path, capfdbinary):
 
 def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    assert cli.main(["run", str(tmp_path / "nul\0.json")]) == 2  # open() raises ValueError
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert cli.main(["run", str(bad)]) == 2
     path = write_config(tmp_path, dict(TRACE_CFG, seeds=[]))
     assert cli.main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_regression_config_not_utf8_exits_2(tmp_path, capsys):
+    # a byte-order mark of UTF-16 raised UnicodeDecodeError out of main
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", str(bad)]) == 2
+    assert "config error: config %s is not readable JSON" % bad in capsys.readouterr().err
+
+
+def test_regression_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    # raised RecursionError out of main
+    depth = 100_000
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+    assert cli.main(["run", str(bad)]) == 2
+    assert "is not readable JSON" in capsys.readouterr().err
+
+
+def test_regression_config_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # a 5,000-digit bound raised ValueError (int's string-conversion limit) out of main
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(TRACE_CFG).replace("[1, 2]", "[1, %s]" % ("9" * 5000)))
+    assert cli.main(["run", str(bad)]) == 2
+    assert "is not readable JSON" in capsys.readouterr().err
 
 
 def test_output_path_not_a_string_exits_2(tmp_path, capfd):
@@ -326,16 +352,29 @@ _fuzz_config = st.fixed_dictionaries(
 )
 
 
+# the command-line overrides: a format, maybe a task (or an unknown one),
+# and zero or more --seed flags
+_fuzz_flags = st.tuples(
+    st.sampled_from(["json", "csv", "text"]),
+    st.none() | st.sampled_from(TASKS + ("bogus",)),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+).map(
+    lambda t: ["--format", t[0]]
+    + (["--task", t[1]] if t[1] is not None else [])
+    + [arg for seed in t[2] for arg in ("--seed", str(seed))]
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_fuzz_config)
-def test_random_configs_exit_0_2_or_4(cfg):
+@given(cfg=_fuzz_config, flags=_fuzz_flags)
+def test_random_configs_exit_0_2_or_4(cfg, flags):
     # every failure maps to a documented exit code, never to a traceback
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dict(cfg, output_path=os.path.join(tmp, "report.json"))
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        code = cli.main(["run", path])
+        code = cli.main(["run", path, *flags])
         assert code in (0, 2, 4)
         if code == 0:
             assert os.path.exists(cfg["output_path"])

@@ -247,6 +247,26 @@ def test_degrees_past_the_packed_fields_are_refused():
         TracePolynomial({(-1, 0, 0): 1})
 
 
+def test_degree_guard_refuses_by_exact_degree_not_by_the_carried_bound():
+    top = trace_poly._FIELD
+    high = TracePolynomial({(600, 0, 0): 1})
+    one = (high + TracePolynomial.constant(1)) - high  # its bound is 600, its degree 0
+    assert one == TracePolynomial.constant(1)
+    x1000 = TracePolynomial({(1000, 0, 0): 1})
+    assert one._deg + x1000._deg > top  # the bounds alone would refuse
+    assert one * x1000 == x1000
+    assert (one * x1000)._deg <= top
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters_st, letters_st)
+def test_carried_degree_bound_covers_the_exact_degree(u, v):
+    # every operation keeps _deg an upper bound on the degree, within the packed fields
+    p, q = trace_polynomial(Word(tuple(u))), trace_polynomial(Word(tuple(v)))
+    for r in (p + q, (p + q) - q, p - q, -p, 3 * p, p * q, X * q, p.specialize_equal_traces()):
+        assert trace_poly._degree(r) <= r._deg <= trace_poly._FIELD
+
+
 @pytest.mark.parametrize("text", ["aabaB", "abAB", "aaBBabb"])
 def test_every_spelling_of_a_class_hits_its_memo_entry(text):
     # every rotation of w and of w^-1, and conjugates that are not
